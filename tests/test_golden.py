@@ -1,0 +1,53 @@
+"""Byte-for-byte CLI goldens.
+
+The files under tests/golden/ are the stdout of
+
+    latkit enum --max-n 8
+    latkit gadget-census --max-n 8
+    latkit gadget FLP.json 4 2 6      # flp_nine() saved, generators A, B, C
+
+and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10``.  A
+refactor of the enumerator or of canonical labelling must leave them
+unchanged: enumeration order, representatives and gadget iso classes
+all show up in these bytes.
+"""
+
+import hashlib
+from pathlib import Path
+
+from latkit import save_lattice
+from latkit.cli import run
+from latkit.subalgebra import flp_nine
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _stdout(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_golden_enum_max_n_8(capsys):
+    expected = (GOLDEN / "enum_max_n_8.txt").read_text(encoding="utf-8")
+    assert _stdout(["enum", "--max-n", "8"], capsys) == expected
+
+
+def test_golden_gadget_census_max_n_8(capsys):
+    expected = (GOLDEN / "gadget_census_max_n_8.txt").read_text(encoding="utf-8")
+    assert _stdout(["gadget-census", "--max-n", "8"], capsys) == expected
+
+
+def test_golden_gadget_flp_nine(tmp_path, capsys):
+    F = flp_nine()
+    path = tmp_path / "flp.json"
+    save_lattice(F, path)
+    a, b, c = (str(F.names.index(name)) for name in "ABC")
+    expected = (GOLDEN / "gadget_flp_nine.txt").read_text(encoding="utf-8")
+    assert _stdout(["gadget", str(path), a, b, c], capsys) == expected
+
+
+def test_golden_enum_max_n_10_sha256(capsys):
+    expected = (GOLDEN / "enum_max_n_10_cap_10.sha256").read_text().strip()
+    out = _stdout(["enum", "--max-n", "10", "--cap", "10"], capsys)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
