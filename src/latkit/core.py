@@ -10,7 +10,6 @@ construction (numpy arrays are frozen) and safe to share across readers.
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
 
 import numpy as np
 
@@ -308,158 +307,127 @@ def dual(L):
 
 
 # -- isomorphism and canonical forms -----------------------------------
+# One engine for every caller.  A poset is given by down-set bitmasks:
+# bit j of dwn[i] is set iff j <= i, in any numbering.
 
 
-def _joint_colors(mats):
-    """Stable WL-style color refinement run jointly over several posets.
+def _neighbours(dwn):
+    """Strict down-set and up-set lists of each element."""
+    n = len(dwn)
+    down = [[j for j in range(n) if j != i and dwn[i] >> j & 1] for i in range(n)]
+    up = [[j for j in range(n) if j != i and dwn[j] >> i & 1] for i in range(n)]
+    return down, up
 
-    Colors are comparable across the inputs because each round ranks the
-    sorted set of signatures of all elements of all inputs.
+
+def refine(down, up, colors=None):
+    """Stable colour refinement (1-dimensional Weisfeiler-Leman).
+
+    Each round ranks the signatures (colour, sorted colours below,
+    sorted colours above) until the partition stops splitting.  The
+    start colouring defaults to (#below, #above).  Ranks are invariant
+    under relabeling, so colours are comparable across the elements of
+    one input, and across two orders refined as one disjoint union.
     """
-    infos = []
-    for leq in mats:
-        n = leq.shape[0]
-        down = [frozenset(np.nonzero(leq[:, i])[0].tolist()) - {i} for i in range(n)]
-        up = [frozenset(np.nonzero(leq[i])[0].tolist()) - {i} for i in range(n)]
-        infos.append((n, down, up))
-    colors = [
-        [(len(down[i]), len(up[i])) for i in range(n)] for (n, down, up) in infos
-    ]
-    for _ in range(max((n for n, _, _ in infos), default=1)):
-        sigs = []
-        for (n, down, up), cols in zip(infos, colors):
-            sigs.append(
-                [
-                    (
-                        cols[i],
-                        tuple(sorted(cols[j] for j in down[i])),
-                        tuple(sorted(cols[j] for j in up[i])),
-                    )
-                    for i in range(n)
-                ]
-            )
-        palette = {s: r for r, s in enumerate(sorted({s for ss in sigs for s in ss}))}
-        new = [[palette[s] for s in ss] for ss in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+    if colors is None:
+        colors = [(len(d), len(u)) for d, u in zip(down, up)]
+    cells = len(set(colors))
+    while True:
+        at = colors.__getitem__
+        sigs = [
+            (c, tuple(sorted(map(at, d))), tuple(sorted(map(at, u))))
+            for c, d, u in zip(colors, down, up)
+        ]
+        palette = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colors = [palette[s] for s in sigs]
+        if len(palette) in (cells, len(colors)):
+            return colors  # no cell split, or all cells are singletons
+        cells = len(palette)
 
 
-def wl_colors(L):
-    return _joint_colors([L.leq])[0]
+def canonical_form(dwn):
+    """Canonical (key, perm) of the poset given by down-set masks.
+
+    perm[a] is the element placed at canonical position a and key[a] is
+    the mask of positions b with perm[b] <= perm[a]; equal keys mean
+    isomorphic posets.  The key is the least leaf of an
+    individualisation-refinement search (McKay and Piperno, Practical
+    graph isomorphism II): refine, then individualise each element of
+    the first non-singleton cell in turn and recurse.  A leaf whose key
+    equals the best one yields an automorphism.  A sibling is skipped
+    when a known automorphism fixing the individualised prefix maps an
+    explored sibling to it; and a subtree whose leaf is the image of the
+    best leaf is left at once, as the image of an explored subtree.
+    """
+    n = len(dwn)
+    if n == 0:
+        return (), ()
+    down, up = _neighbours(dwn)
+    closed = [lower + [i] for i, lower in enumerate(down)]
+    best, autos = [], []  # best = [key, perm, path]
+
+    def search(colors, path):
+        if len(set(colors)) == n:
+            perm = sorted(range(n), key=colors.__getitem__)
+            bit = [1 << c for c in colors]
+            key = tuple(sum([bit[j] for j in closed[e]]) for e in perm)
+            if not best or key < best[0]:
+                best[:] = key, perm, path
+            elif key == best[0]:
+                autos.append(dict(zip(best[1], perm)))
+                # the leaf fixes its path, so the automorphism maps the
+                # best path onto this one: back up to where they part
+                return next(d for d, (u, v) in enumerate(zip(best[2], path)) if u != v)
+            return None
+        target = min(c for c in colors if colors.count(c) > 1)
+        explored = []
+        for v in (e for e, c in enumerate(colors) if c == target):
+            if any(
+                g[u] == v and all(g[p] == p for p in path)
+                for g in autos
+                for u in explored
+            ):
+                continue
+            explored.append(v)
+            seeded = [(c, e != v) for e, c in enumerate(colors)]
+            back = search(refine(down, up, seeded), path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    search(refine(down, up), [])
+    return best[0], tuple(best[1])
+
+
+def _dwn_of(leq):
+    """Down-set masks of the columns of an order matrix."""
+    return [sum(1 << int(i) for i in np.flatnonzero(col)) for col in leq.T]
 
 
 def canonical_key(L):
     """A relabeling-invariant canonical form of the order matrix.
 
-    Elements are grouped by refined color and the key is the minimum of
-    the flattened order matrix over color-respecting relabelings.  When
-    the color classes leave too large a search space, one element of the
-    first ambiguous class is individualized (every choice is tried, so
-    the result stays invariant) and refinement recurses.  Equal keys
-    mean isomorphic.
+    The key is the order matrix relabeled by the canonical permutation
+    of canonical_form, as a tuple of row tuples: key[a][b] is True iff
+    the element at canonical position a lies below the one at b.
+    Equal keys mean isomorphic.
     """
-    return _canonical_key_matrix(L.leq)
-
-
-_DIRECT_SEARCH_LIMIT = 50000
-
-
-def _refine_colors(down, up, colors):
-    while True:
-        sigs = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in down[i])),
-                tuple(sorted(colors[j] for j in up[i])),
-            )
-            for i in range(len(colors))
-        ]
-        palette = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        fresh = [palette[s] for s in sigs]
-        if fresh == colors:
-            return colors
-        colors = fresh
-
-
-def _blocks_of(colors):
-    order = sorted(range(len(colors)), key=lambda i: (colors[i], i))
-    blocks = []
-    for i in order:
-        if blocks and colors[blocks[-1][0]] == colors[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
-def _canonical_key_matrix(leq):
-    n = leq.shape[0]
-    down = [frozenset(np.nonzero(leq[:, i])[0].tolist()) - {i} for i in range(n)]
-    up = [frozenset(np.nonzero(leq[i])[0].tolist()) - {i} for i in range(n)]
-    initial = _refine_colors(down, up, [(len(down[i]), len(up[i])) for i in range(n)])
-
-    def search(colors):
-        blocks = _blocks_of(colors)
-        space = 1
-        for block in blocks:
-            for factor in range(2, len(block) + 1):
-                space *= factor
-        if space > _DIRECT_SEARCH_LIMIT:
-            target = next(b for b in blocks if len(b) > 1)
-            best = None
-            for chosen in target:
-                seeded = [(c, 1 if i == chosen else 0) for i, c in enumerate(colors)]
-                candidate = search(_refine_colors(down, up, seeded))
-                if best is None or candidate < best:
-                    best = candidate
-            return best
-        best = None
-        perm = []
-
-        def backtrack(bi):
-            nonlocal best
-            if bi == len(blocks):
-                rows = tuple(
-                    tuple(bool(leq[perm[a], perm[b]]) for b in range(n))
-                    for a in range(n)
-                )
-                if best is None or rows < best:
-                    best = rows
-                return
-            for choice in permutations(blocks[bi]):
-                start = len(perm)
-                perm.extend(choice)
-                if best is not None:
-                    size = len(perm)
-                    prefix = tuple(
-                        tuple(bool(leq[perm[a], perm[b]]) for b in range(size))
-                        for a in range(size)
-                    )
-                    ref = tuple(row[:size] for row in best[:size])
-                    if prefix > ref:
-                        del perm[start:]
-                        continue
-                backtrack(bi + 1)
-                del perm[start:]
-
-        backtrack(0)
-        return best
-
-    return search(initial)
+    _, perm = canonical_form(_dwn_of(L.leq))
+    return tuple(tuple(bool(L.leq[x, y]) for y in perm) for x in perm)
 
 
 def find_isomorphism(L1, L2):
     """Lexicographically least order-isomorphism L1 -> L2, or None.
 
     On finite lattices an order-isomorphism is automatically a lattice
-    isomorphism.
+    isomorphism.  Candidate images are restricted to elements of the same
+    colour, refining both orders as one disjoint union.
     """
     if L1.n != L2.n:
         return None
     n = L1.n
-    c1, c2 = _joint_colors([L1.leq, L2.leq])
+    union = _dwn_of(L1.leq) + [mask << n for mask in _dwn_of(L2.leq)]
+    colors = refine(*_neighbours(union))
+    c1, c2 = colors[:n], colors[n:]
     if sorted(c1) != sorted(c2):
         return None
     a, b = L1.leq, L2.leq
@@ -485,4 +453,4 @@ def find_isomorphism(L1, L2):
 
 
 def is_isomorphic(L1, L2):
-    return find_isomorphism(L1, L2)
+    return find_isomorphism(L1, L2) is not None

@@ -19,12 +19,11 @@ bitmask of {j : j <= i}, i included.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
 
 import numpy as np
 
-from .core import FiniteLattice
-from .errors import CapExceeded
+from .core import FiniteLattice, canonical_form
+from .errors import CapExceeded, CounterexampleFound
 from .properties import is_semidistributive, whitman_w
 
 DEFAULT_ENUM_CAP = 9
@@ -48,67 +47,9 @@ def _ups_of(dwn):
     return ups
 
 
-def _poset_colors(dwn, ups):
-    n = len(dwn)
-    colors = [(bin(dwn[i]).count("1"), bin(ups[i]).count("1")) for i in range(n)]
-    for _ in range(n):
-        sigs = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in _bits(dwn[i] & ~(1 << i)))),
-                tuple(sorted(colors[j] for j in _bits(ups[i] & ~(1 << i)))),
-            )
-            for i in range(n)
-        ]
-        palette = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        fresh = [palette[s] for s in sigs]
-        if fresh == colors:
-            break
-        colors = fresh
-    return colors
-
-
-def poset_key_perm(dwn):
-    """Canonical key of a natural-labeled poset and a permutation that
-    achieves it (perm[a] = original element at canonical position a).
-
-    The key is the minimum, over color-respecting relabelings, of the
-    tuple of row masks of the relabeled order matrix; equal keys mean
-    isomorphic posets.
-    """
-    n = len(dwn)
-    if n == 0:
-        return (), ()
-    ups = _ups_of(dwn)
-    colors = _poset_colors(dwn, ups)
-    order = sorted(range(n), key=lambda i: (colors[i], i))
-    blocks = []
-    for i in order:
-        if blocks and colors[blocks[-1][0]] == colors[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    best = best_perm = None
-    for choice in product(*(permutations(b) for b in blocks)):
-        perm = [e for blk in choice for e in blk]
-        pos = [0] * n
-        for a, e in enumerate(perm):
-            pos[e] = a
-        key = tuple(
-            sum(
-                1 << pos[j]
-                for j in _bits(dwn[e])  # j <= e, so position pos[j] is set
-            )
-            for e in perm
-        )
-        # key[a] = mask of positions b with perm[b] <= perm[a]
-        if best is None or key < best:
-            best, best_perm = key, perm
-    return best, tuple(best_perm)
-
-
 def poset_key(dwn):
-    return poset_key_perm(dwn)[0]
+    """Canonical key of a poset given by down-set masks (core.canonical_form)."""
+    return canonical_form(dwn)[0]
 
 
 def _delete_element(dwn, e):
@@ -163,7 +104,7 @@ def _semilattices(k):
         local = {}
         for D in _valid_ideals(parent):
             child = parent + (D | (1 << (k - 1)),)
-            ckey, cperm = poset_key_perm(child)
+            ckey, cperm = canonical_form(child)
             if ckey in local:
                 continue
             ups = _ups_of(child)
@@ -547,10 +488,12 @@ def verify_corpus(max_n=9, census_max=8, jobs=1):
             and L.width() == 2
         ):
             width2 += 1
-            f = constructive_iso_2xc(L)
-            assert f is not None
-            assert find_isomorphism(L, two_by_chain(L.n // 2)) is not None
-    report["prop_width2"] = {"instances": width2, "pass": True}
+            if constructive_iso_2xc(L) is None:
+                raise CounterexampleFound("prop_width2: no constructive map onto 2 x C", L)
+            if find_isomorphism(L, two_by_chain(L.n // 2)) is None:
+                raise CounterexampleFound("prop_width2: not isomorphic to 2 x C", L)
+    expected_width2 = max(min(max_n, 9) // 2 - 1, 0)  # 2 x C_k for k >= 2
+    report["prop_width2"] = {"instances": width2, "pass": width2 == expected_width2}
 
     for L in iter_lattices(min(max_n, 9)):
         check_theorem(L)  # raises TheoremDisagreement on failure

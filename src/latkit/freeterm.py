@@ -115,9 +115,15 @@ def _tokenize(text):
     return out
 
 
+# Parentheses nest at most this deep: parse, free_leq and canonical
+# recurse on the Python stack and stay well inside its default limit.
+MAX_TERM_DEPTH = 40
+
+
 def parse(text):
     tokens = _tokenize(text)
     index = 0
+    depth = 0
 
     def peek():
         return tokens[index][0]
@@ -143,12 +149,19 @@ def parse(text):
         return mt(*parts)
 
     def parse_atom():
+        nonlocal depth
         tok, pos = advance()
         if tok == "(":
+            depth += 1
+            if depth > MAX_TERM_DEPTH:
+                raise TermSyntaxError(
+                    f"parentheses nest deeper than {MAX_TERM_DEPTH}", pos
+                )
             inner = parse_term()
             closer, cpos = advance()
             if closer != ")":
                 raise TermSyntaxError("expected ')'", cpos)
+            depth -= 1
             return inner
         if tok is None or tok in "+*)":
             raise TermSyntaxError(f"expected a term, got {tok!r}", pos)

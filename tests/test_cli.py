@@ -178,3 +178,37 @@ def test_ladder_bad_inputs(tmp_path):
     spec.write_text("{ not json")
     assert run(["ladder", "split", str(spec)]) == 2
     assert run(["ladder", "split", "none", "--radius", "0"]) == 2
+
+
+def _nested(depth, step):
+    term = "x"
+    for level in range(depth):
+        term = step(term, level)
+    return term
+
+
+_SHAPES = {
+    # one join or meet level per pair of parentheses
+    "alternating": lambda t, level: f"({t})*y" if level % 2 == 0 else f"({t})+z",
+    # a join and a meet level per pair of parentheses
+    "doubled": lambda t, level: f"({t}*y+z)",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_free_term_depth_limit(shape, capsys):
+    from latkit.freeterm import MAX_TERM_DEPTH
+
+    term = _nested(MAX_TERM_DEPTH, _SHAPES[shape])
+    other = term.replace("x", "u")
+    assert run(["free", "leq", term, term]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert run(["free", "leq", term, other]) == 0
+    assert run(["free", "leq", other, term]) == 0
+    assert run(["free", "canon", term]) == 0
+    capsys.readouterr()
+    deeper = _nested(MAX_TERM_DEPTH + 1, _SHAPES[shape])
+    for argv in (["free", "leq", deeper, "x+y"], ["free", "canon", deeper]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "nest deeper" in err and "Traceback" not in err

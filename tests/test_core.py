@@ -12,6 +12,7 @@ from latkit import (
     canonical_key,
     dual,
     find_isomorphism,
+    is_isomorphic,
     linear_sum,
     m3,
     n5,
@@ -371,3 +372,38 @@ def test_canonical_key_symmetric_lattice():
     random.Random(5).shuffle(perm)
     assert canonical_key(B4) == canonical_key(B4.relabel(perm))
     assert canonical_key(B4) != canonical_key(cube3())
+
+
+def _diamond(k):
+    """M_k: k atoms between a bottom and a top."""
+    atoms = range(1, k + 1)
+    return FiniteLattice.from_covers(
+        k + 2, [(0, a) for a in atoms] + [(a, k + 1) for a in atoms]
+    )
+
+
+@pytest.mark.parametrize(
+    "L",
+    [_diamond(k) for k in range(8, 13)] + [boolean(5), boolean(6)],
+    ids=[f"M{k}" for k in range(8, 13)] + ["B5", "B6"],
+)
+def test_canonical_key_symmetric_relabelings(L):
+    rng = random.Random(L.n)
+    key = canonical_key(L)
+    for _ in range(3):
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        assert canonical_key(L.relabel(perm)) == key
+
+
+def test_canonical_key_diamonds_distinct():
+    keys = [canonical_key(_diamond(k)) for k in range(3, 13)]
+    assert len(set(keys)) == len(keys)
+    assert canonical_key(_diamond(3)) == canonical_key(m3())
+
+
+def test_is_isomorphic_returns_bool():
+    assert is_isomorphic(chain(1), chain(1)) is True
+    assert is_isomorphic(cube3(), boolean(3)) is True
+    assert is_isomorphic(m3(), n5()) is False
+    assert is_isomorphic(chain(4), chain(5)) is False

@@ -10,7 +10,7 @@ from latkit.enumeration import (
     poset_key,
     verify_corpus,
 )
-from latkit.errors import CapExceeded
+from latkit.errors import CapExceeded, CounterexampleFound
 from latkit.properties import whitman_w
 
 
@@ -67,6 +67,14 @@ def test_poset_key_identifies_relabelings():
     chain5 = (0b1, 0b11, 0b111, 0b1111, 0b11111)
     assert poset_key(pentagon_a) == poset_key(pentagon_b)
     assert poset_key(pentagon_a) != poset_key(chain5)
+    # a meet-semilattice with automorphism group S_3: a bottom under three
+    # two-element legs; labeled leg by leg and atoms first
+    spider_a = (0b1, 0b11, 0b101, 0b1011, 0b10001, 0b110001, 0b1000101)
+    spider_b = (0b1, 0b11, 0b101, 0b1001, 0b10011, 0b100101, 0b1001001)
+    # legs of lengths 3, 2 and 1 instead
+    uneven = (0b1, 0b11, 0b101, 0b1001, 0b10011, 0b110011, 0b1000101)
+    assert poset_key(spider_a) == poset_key(spider_b)
+    assert poset_key(spider_a) != poset_key(uneven)
 
 
 def test_cap_enforced():
@@ -131,6 +139,15 @@ def test_conjecture_scan():
     assert len(report.entries) == 75
     payload = report.to_json_dict()
     assert payload["width2_whitman"] == 75
+
+
+def test_verify_corpus_prop_width2_sentinel(monkeypatch):
+    import latkit.classifier
+
+    monkeypatch.setattr(latkit.classifier, "constructive_iso_2xc", lambda L: None)
+    with pytest.raises(CounterexampleFound) as info:
+        verify_corpus(max_n=6, census_max=6)
+    assert info.value.witness.n == 4  # 2 x C_2 is the first instance
 
 
 def test_verify_corpus_small():

@@ -27,6 +27,17 @@ def test_parse_examples():
     assert parse("x * y * z") == Meet([Gen("x"), Gen("y"), Gen("z")])
 
 
+def test_parse_depth_limit():
+    from latkit.freeterm import MAX_TERM_DEPTH
+
+    at_limit = "(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
+    assert parse(at_limit) == Gen("x")
+    past = "(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1)
+    with pytest.raises(TermSyntaxError) as info:
+        parse(past)
+    assert info.value.position == MAX_TERM_DEPTH
+
+
 def test_parse_errors():
     with pytest.raises(TermSyntaxError):
         parse("x*(")
