@@ -6,6 +6,7 @@ from latkit import m3
 from latkit.enumeration import all_lattices
 from latkit.errors import TermSyntaxError, UnboundGenerator
 from latkit.freeterm import (
+    MAX_TERM_DEPTH,
     Gen,
     Join,
     Meet,
@@ -25,17 +26,7 @@ def test_parse_examples():
     assert parse("x*(y+z)") == Meet([Gen("x"), Join([Gen("y"), Gen("z")])])
     assert parse("x+y+z") == Join([Gen("x"), Gen("y"), Gen("z")])
     assert parse("x * y * z") == Meet([Gen("x"), Gen("y"), Gen("z")])
-
-
-def test_parse_depth_limit():
-    from latkit.freeterm import MAX_TERM_DEPTH
-
-    at_limit = "(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
-    assert parse(at_limit) == Gen("x")
-    past = "(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1)
-    with pytest.raises(TermSyntaxError) as info:
-        parse(past)
-    assert info.value.position == MAX_TERM_DEPTH
+    assert parse("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == Gen("x")
 
 
 def test_parse_errors():
@@ -50,6 +41,9 @@ def test_parse_errors():
     with pytest.raises(TermSyntaxError) as info:
         parse("x*$")
     assert info.value.position == 2
+    with pytest.raises(TermSyntaxError) as info:
+        parse("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
+    assert info.value.position == MAX_TERM_DEPTH
 
 
 def test_format_round_trip():
