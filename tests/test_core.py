@@ -19,7 +19,7 @@ from latkit import (
     product,
     two_by_chain,
 )
-from latkit.core import size_cap
+from latkit.core import canonical_form, size_cap
 from latkit.errors import NotALattice, NotAPartialOrder, SizeCapExceeded
 
 
@@ -400,6 +400,25 @@ def test_canonical_key_diamonds_distinct():
     keys = [canonical_key(_diamond(k)) for k in range(3, 13)]
     assert len(set(keys)) == len(keys)
     assert canonical_key(_diamond(3)) == canonical_key(m3())
+
+
+def test_canonical_form_on_a_refinement_stable_poset():
+    # height one, nine minimal and nine maximal elements, every element
+    # comparable to exactly three others: colour refinement leaves two
+    # cells of nine, so the key rests on individualisation and pruning
+    lower = [[1, 4, 7], [2, 7, 8], [0, 1, 8], [0, 3, 4], [0, 5, 6],
+             [1, 2, 6], [2, 4, 5], [3, 5, 8], [3, 6, 7]]
+    dwn = [1 << i for i in range(9)]
+    dwn += [sum(1 << i for i in below) | 1 << (9 + j) for j, below in enumerate(lower)]
+    key = canonical_form(dwn)[0]
+    rng = random.Random(3)
+    for _ in range(20):
+        perm = list(range(18))
+        rng.shuffle(perm)
+        moved = [0] * 18
+        for i, mask in enumerate(dwn):
+            moved[perm[i]] = sum(1 << perm[j] for j in range(18) if mask >> j & 1)
+        assert canonical_form(moved)[0] == key
 
 
 def test_is_isomorphic_returns_bool():
