@@ -412,7 +412,7 @@ def canonical_key(L):
     Equal keys mean isomorphic.
     """
     _, perm = canonical_form(_dwn_of(L.leq))
-    return tuple(tuple(bool(L.leq[x, y]) for y in perm) for x in perm)
+    return tuple(map(tuple, L.leq[np.ix_(perm, perm)].tolist()))
 
 
 def find_isomorphism(L1, L2):
