@@ -14,6 +14,7 @@ from .catalog import cube3, two_by_chain
 from .core import find_isomorphism
 from .errors import (
     CounterexampleFound,
+    InvariantViolated,
     NoGadget,
     PreconditionFailed,
     TheoremDisagreement,
@@ -185,15 +186,18 @@ def constructive_iso_2xc(L):
         a, b, c = triples[0]
         current = generate_sublattice(L, {a, b, c})
         rails = _rails(L, current)
-        assert rails is not None and len(current) == 6, "gadget is not 2 x 3"
+        if rails is None or len(current) != 6:
+            raise InvariantViolated("gadget is not 2 x 3")
         for w in range(n):
             if w not in current:
                 # intermediate closures may carry ragged rail ends; only
                 # the final structure is required to be a full ladder
                 current = generate_sublattice(L, current | {w})
-        assert len(current) == n
+        if len(current) != n:
+            raise InvariantViolated("closure did not absorb every element")
         rails = _rails(L, current)
-        assert rails is not None, "absorbed lattice is not 2 x C"
+        if rails is None:
+            raise InvariantViolated("absorbed lattice is not 2 x C")
         low, high = rails
 
     m = n // 2
@@ -203,7 +207,8 @@ def constructive_iso_2xc(L):
     for j, x in enumerate(high):
         f[x] = m + j
     target = two_by_chain(m)
-    assert sorted(f) == list(range(n)), "not a bijection"
+    if sorted(f) != list(range(n)):
+        raise InvariantViolated("rail map is not a bijection")
     for x in range(n):
         for y in range(n):
             if f[L.join(x, y)] != target.join(f[x], f[y]):

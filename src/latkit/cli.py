@@ -23,7 +23,6 @@ from .enumeration import (
 from .errors import (
     CounterexampleFound,
     LatkitError,
-    M3N5Disagreement,
     TheoremDisagreement,
 )
 from .freeterm import canonical, format_term, free_leq, parse as parse_term
@@ -134,6 +133,11 @@ def _cmd_ladder(args):
 
 def _cmd_enum(args):
     wanted = [p for p in (args.property or "").split(",") if p]
+    unknown = [p for p in wanted if p not in PROPERTIES]
+    if unknown:
+        raise LatkitError(
+            f"unknown property {unknown[0]!r}; choose from {', '.join(PROPERTIES)}"
+        )
     pool = [
         L
         for L in iter_lattices(args.max_n, cap=args.cap)
@@ -175,7 +179,7 @@ def _cmd_verify(args):
         return 0
     try:
         report = verify_corpus(max_n=args.max_n, jobs=args.jobs)
-    except (TheoremDisagreement, CounterexampleFound, M3N5Disagreement) as exc:
+    except (TheoremDisagreement, CounterexampleFound) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     _dump(report)

@@ -5,6 +5,10 @@ error witnesses always refer to the caller's indices.  The order matrix
 and both operation tables are materialized at construction; everything
 downstream assumes O(1) joins and meets.  Instances are immutable after
 construction (numpy arrays are frozen) and safe to share across readers.
+
+Order work runs on bitsets: Python-int masks of up- and down-sets for
+closure, tables and covers, and numpy scans in chunks of at most CHUNK
+elements for the checkers, so temporaries stay bounded at any size.
 """
 
 import os
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import NotALattice, NotAPartialOrder, SizeCapExceeded
 
 DEFAULT_SIZE_CAP = 4096
+CHUNK = 1 << 13  # elements in one temporary array of a chunked scan
 
 
 def size_cap():
@@ -66,49 +71,70 @@ class FiniteLattice:
         """
         if n < 1:
             raise ValueError("need at least one element")
-        leq = np.eye(n, dtype=bool)
+        if n > size_cap():
+            raise SizeCapExceeded(f"{n} elements exceeds cap {size_cap()}")
+        rel = np.eye(n, dtype=bool)
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise ValueError(f"cover ({lo}, {hi}) out of range for n={n}")
             if lo == hi:
                 raise NotAPartialOrder([lo])
-            leq[lo, hi] = True
-        leq = transitive_closure(leq)
-        return cls(leq, names=names)
+            rel[lo, hi] = True
+        return cls(transitive_closure(rel), names=names, _validated=True)
 
     def _check_partial_order(self):
         leq = self.leq
         if not leq.diagonal().all():
             raise ValueError("order matrix must be reflexive")
         sym = leq & leq.T
-        if sym.sum() > self.n:
-            i, j = next(zip(*np.nonzero(sym & ~np.eye(self.n, dtype=bool))))
-            raise NotAPartialOrder([int(i), int(j)])
-        if (np.matmul(leq, leq) & ~leq).any():
+        np.fill_diagonal(sym, False)
+        if sym.any():
+            i, j = divmod(int(sym.argmax()), self.n)
+            raise NotAPartialOrder([i, j])
+        # antisymmetric, so a cycle means a missing transitive pair
+        try:
+            transitive = (transitive_closure(leq) == leq).all()
+        except NotAPartialOrder:
+            transitive = False
+        if not transitive:
             raise ValueError("order matrix must be transitive")
 
     def _build_tables(self):
+        """Join and meet tables from the up- and down-set masks.
+
+        The lub of a parallel pair is the first common upper bound in
+        topo_order, accepted only if its up-set is the whole common
+        up-set; the glb dually.  Comparable pairs need no search.  A pair
+        without a unique bound raises NotALattice: the least such pair
+        i < j, its lub checked before its glb.
+        """
         n, leq = self.n, self.leq
-        row_of = {leq[i].tobytes(): i for i in range(n)}
-        col_of = {leq[:, i].tobytes(): i for i in range(n)}
-        join = np.zeros((n, n), dtype=np.int32)
-        meet = np.zeros((n, n), dtype=np.int32)
-        for i in range(n):
-            join[i, i] = meet[i, i] = i
-            for j in range(i + 1, n):
-                if leq[i, j]:
-                    lub, glb = j, i
-                else:
-                    ups = leq[i] & leq[j]
-                    lub = row_of.get(ups.tobytes())
-                    if lub is None:
-                        raise NotALattice((i, j), "lub")
-                    downs = leq[:, i] & leq[:, j]
-                    glb = col_of.get(downs.tobytes())
-                    if glb is None:
-                        raise NotALattice((i, j), "glb")
-                join[i, j] = join[j, i] = lub
-                meet[i, j] = meet[j, i] = glb
+        idx = np.arange(n, dtype=np.int32)
+        join = np.where(leq, idx, idx[:, None])
+        meet = np.where(leq, idx[:, None], idx)
+        parallel = leq == leq.T  # and the diagonal, which i < j drops
+        # the highest bit of a common up-set is its first element in
+        # topo_order, that of a common down-set its last one
+        order = _linear_extension(leq)
+        ups, up_elem = _set_masks(leq, order[::-1])
+        dns, dn_elem = _set_masks(leq.T, order)
+        failed = False
+        for start, stop in chunk_ranges(n, n):
+            ii, jj = np.nonzero(parallel[start:stop])
+            ii += start
+            upper = ii < jj
+            ii, jj = ii[upper], jj[upper]
+            il, jl = ii.tolist(), jj.tolist()
+            for table, sets, elem in ((join, ups, up_elem), (meet, dns, dn_elem)):
+                common = [sets[i] & sets[j] for i, j in zip(il, jl)]
+                best = [elem[c.bit_length()] for c in common]
+                if [sets[b] for b in best] != common:
+                    best = [b if sets[b] == c else -1 for b, c in zip(best, common)]
+                    failed = True
+                table[ii, jj] = table[jj, ii] = best
+        if failed:
+            i, j = divmod(int(((join < 0) | (meet < 0)).argmax()), n)
+            raise NotALattice((i, j), "lub" if join[i, j] < 0 else "glb")
         return join, meet
 
     # -- basic queries ------------------------------------------------
@@ -133,10 +159,21 @@ class FiniteLattice:
 
     @cached_property
     def covers(self):
-        """Cover pairs (lo, hi): the transitive reduction of leq."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        reduced = lt & ~np.matmul(lt, lt)
-        return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(reduced)))
+        """Cover pairs (lo, hi): the transitive reduction of leq.
+
+        The first element of x's strict up-set in topo_order covers x;
+        dropping everything above it leaves the next cover first.
+        """
+        ups, elem = _set_masks(self.leq, _linear_extension(self.leq)[::-1])
+        pairs = []
+        for x, rest in enumerate(ups):
+            rest ^= 1 << (rest.bit_length() - 1)  # x itself comes first
+            while rest:
+                y = elem[rest.bit_length()]
+                pairs.append((x, y))
+                rest &= ~ups[y]
+        pairs.sort()
+        return tuple(pairs)
 
     @cached_property
     def upper_covers(self):
@@ -163,6 +200,11 @@ class FiniteLattice:
         return int(np.argmax(counts))
 
     @cached_property
+    def topo_order(self):
+        """Elements sorted by a linear extension of the order."""
+        return tuple(_linear_extension(self.leq).tolist())
+
+    @cached_property
     def heights(self):
         """Longest-chain height of each element, bottom at 0."""
         h = [0] * self.n
@@ -170,11 +212,6 @@ class FiniteLattice:
             for y in self.upper_covers[x]:
                 h[y] = max(h[y], h[x] + 1)
         return tuple(h)
-
-    @cached_property
-    def topo_order(self):
-        """Elements sorted by a linear extension of the order."""
-        return tuple(sorted(range(self.n), key=lambda x: (int(self.leq[:, x].sum()), x)))
 
     def name_of(self, x):
         return self.names[x] if self.names else str(x)
@@ -191,8 +228,11 @@ class FiniteLattice:
         matching of the strict comparability relation split into a
         bipartite graph; the width equals the cover size.
         """
-        n, leq = self.n, self.leq
-        succ = [[j for j in range(n) if j != i and leq[i, j]] for i in range(n)]
+        n = self.n
+        succ = [
+            [j for j, up in enumerate(row) if up and j != i]
+            for i, row in enumerate(self.leq.tolist())
+        ]
         match_right = [-1] * n
 
         def try_augment(i, seen):
@@ -286,19 +326,119 @@ class FiniteLattice:
 
 def transitive_closure(rel):
     """Reflexive-transitive closure; rejects cycles."""
-    n = rel.shape[0]
-    closure = rel.copy()
-    np.fill_diagonal(closure, True)
-    while True:
-        nxt = closure | np.matmul(closure, closure)
-        if (nxt == closure).all():
-            break
-        closure = nxt
-    sym = closure & closure.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = next(zip(*np.nonzero(sym)))
-        raise NotAPartialOrder([int(i), int(j)])
-    return closure
+    succ = [[] for _ in range(rel.shape[0])]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(rel))):
+        succ[i].append(j)
+    return _leq_of(_closure_masks(succ))
+
+
+def _closure_masks(succ):
+    """Up-set masks of the reflexive-transitive closure of a relation.
+
+    succ[v] lists the elements v relates to.  One depth-first pass finds
+    the strongly connected components (Tarjan); each is finished after
+    everything it reaches, so a singleton's mask is its own bit OR the
+    masks of its successors.  A larger component is a cycle, reported
+    by NotAPartialOrder as the least element on any cycle and the least
+    other element of its component.
+    """
+    n = len(succ)
+    up = [0] * n
+    index = [-1] * n  # discovery number; n once the component is done
+    low = [0] * n
+    stack, cycle, count = [], None, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] < index[v]:
+                    continue
+                k = len(stack) - 1
+                while stack[k] != v:
+                    k -= 1
+                component = stack[k:]
+                del stack[k:]
+                for w in component:
+                    index[w] = n
+                if len(component) > 1:
+                    pair = tuple(sorted(component)[:2])
+                    cycle = min(cycle or pair, pair)
+                    continue
+                mask = 1 << v
+                for w in succ[v]:
+                    mask |= up[w]
+                up[v] = mask
+    if cycle:
+        raise NotAPartialOrder(list(cycle))
+    return up
+
+
+def _linear_extension(leq):
+    """Elements by the number of elements below, ties by index."""
+    return leq.sum(axis=0).argsort(kind="stable")
+
+
+def _set_masks(rows, order):
+    """Mask of each row with bit k for column order[k], and the list
+    elem with elem[m.bit_length()] the element of mask m's highest bit."""
+    return _masks(rows.take(order, axis=1)), [0] + order.tolist()
+
+
+def _masks(rows):
+    """Python-int bitmask of each bool row: bit k is column k."""
+    width = (rows.shape[1] + 7) // 8
+    raw = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+
+
+def _leq_of(masks):
+    """Bool matrix whose row i has the bits of masks[i]."""
+    n = len(masks)
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+def chunk_ranges(rows, width):
+    """(start, stop) row ranges of at most CHUNK // width rows (at least one)."""
+    step = max(1, CHUNK // width)
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def first_hit(rows, width, test):
+    """Least (r, c) in C order with test(r)[c] true, or None.
+
+    test takes an index array of consecutive rows and returns a bool
+    array of shape (len(rows), width).  Rows are scanned in chunks of
+    about CHUNK elements, so memory stays bounded, and the scan stops at
+    the first chunk with a hit.
+    """
+    for start, stop in chunk_ranges(rows, width):
+        hit = test(np.arange(start, stop))
+        if hit.any():
+            r, c = divmod(int(hit.argmax()), width)
+            return start + r, c
+    return None
 
 
 def dual(L):
@@ -400,7 +540,7 @@ def canonical_form(dwn):
 
 def _dwn_of(leq):
     """Down-set masks of the columns of an order matrix."""
-    return [sum(1 << int(i) for i in np.flatnonzero(col)) for col in leq.T]
+    return _masks(leq.T)
 
 
 def canonical_key(L):

@@ -54,6 +54,14 @@ class TheoremDisagreement(LatkitError):
     """The two sides of the structure-theorem check disagree (bug sentinel)."""
 
 
+class InvariantViolated(LatkitError):
+    """A result the construction guarantees did not hold (bug sentinel).
+
+    Raised where a proof or a transcription forces a fact, so it signals
+    a bug in latkit, never a property of the input.
+    """
+
+
 class CounterexampleFound(LatkitError):
     """An exhaustive verification run found a violating lattice."""
 

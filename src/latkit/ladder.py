@@ -37,6 +37,7 @@ from .core import FiniteLattice, transitive_closure
 from .errors import (
     BadAttachment,
     ChainExhausted,
+    InvariantViolated,
     NotACover,
     SplitObstruction,
 )
@@ -342,11 +343,13 @@ def extract_ladder(W, a, b, up_chain, down_chain):
         if not (L.le(a, x) and x != a and L.incomparable(x, b)):
             raise ValueError(f"up-chain member {x} is not above {a} parallel to {b}")
         # forced by the cover: x * b lies in the prime interval [a, b]
-        assert L.meet(x, b) == a
+        if L.meet(x, b) != a:
+            raise InvariantViolated(f"{x} * {b} is not {a} below a cover")
     for x in down_chain:
         if not (L.le(x, b) and x != b and L.incomparable(x, a)):
             raise ValueError(f"down-chain member {x} is not below {b} parallel to {a}")
-        assert L.join(x, a) == b
+        if L.join(x, a) != b:
+            raise InvariantViolated(f"{x} + {a} is not {b} above a cover")
     if not up_chain or not down_chain:
         raise ChainExhausted("need at least one element per witness chain")
 

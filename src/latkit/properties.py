@@ -17,8 +17,10 @@ normalized to x < y and z < w (the law is symmetric in each pair).
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import m3, n5
-from .core import find_isomorphism
+from .core import chunk_ranges, find_isomorphism, first_hit
 from .errors import M3N5Disagreement
 
 
@@ -37,69 +39,101 @@ class PropertyReport:
 
 
 def is_modular(L):
-    n, leq = L.n, L.leq
-    join, meet = L.join_table, L.meet_table
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if leq[a, c] and join[a, meet[b, c]] != meet[join[a, b], c]:
-                    return PropertyReport("modular", False, (a, b, c))
-    return PropertyReport("modular", True)
+    n, leq, join, meet = L.n, L.leq, L.join_table, L.meet_table
+
+    def fails(ab):
+        a, b = np.divmod(ab, n)
+        return leq[a] & (join[a[:, None], meet[b]] != meet[join[a, b]])
+
+    return _report("modular", n, fails)
 
 
 def is_distributive(L):
-    n = L.n
-    join, meet = L.join_table, L.meet_table
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                    return PropertyReport("distributive", False, (a, b, c))
-    return PropertyReport("distributive", True)
+    n, join, meet = L.n, L.join_table, L.meet_table
+
+    def fails(ab):
+        a, b = np.divmod(ab, n)
+        return meet[a[:, None], join[b]] != join[meet[a, b][:, None], meet[a]]
+
+    return _report("distributive", n, fails)
 
 
 def is_semidistributive(L, side="both"):
     if side not in ("join", "meet", "both"):
         raise ValueError(f"side must be join|meet|both, got {side!r}")
-    n = L.n
-    join, meet = L.join_table, L.meet_table
-    if side in ("join", "both"):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ab = join[a, b]
-                    if ab == join[a, c] and ab != join[a, meet[b, c]]:
-                        return PropertyReport(f"sd-{side}", False, (a, b, c))
-    if side in ("meet", "both"):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ab = meet[a, b]
-                    if ab == meet[a, c] and ab != meet[a, join[b, c]]:
-                        return PropertyReport(f"sd-{side}", False, (a, b, c))
-    return PropertyReport(f"sd-{side}", True)
+    n, join, meet = L.n, L.join_table, L.meet_table
+    name = "sd" if side == "both" else f"sd-{side}"
+    # SD-join is the law for (op, co) = (join, meet), SD-meet its dual
+    laws = {"join": [(join, meet)], "meet": [(meet, join)]}
+    laws["both"] = laws["join"] + laws["meet"]
+    for op, co in laws[side]:
+
+        def fails(ab):
+            a, b = np.divmod(ab, n)
+            lhs = op[a, b][:, None]
+            return (op[a] == lhs) & (op[a[:, None], co[b]] != lhs)
+
+        report = _report(name, n, fails)
+        if not report.verdict:
+            return report
+    return report
+
+
+def _report(name, n, fails):
+    """Scan (a, b, c) in C order; fails(ab) gives the failing c of each
+    flat a*n + b.  The witness is the least failing triple."""
+    hit = first_hit(n * n, n, fails)
+    if hit is None:
+        return PropertyReport(name, True)
+    a, b = divmod(hit[0], n)
+    return PropertyReport(name, False, (a, b, hit[1]))
 
 
 def whitman_w(L):
-    """Quadruple scan with early exit; quadratic prefilter on (x, y)."""
+    """(W) through v = z + w, in O(n^3) array work.
+
+    E[v, u] holds iff some z < w with z + w = v have u <= neither.  (W)
+    fails iff some x < y and v have xy <= v, x, y not <= v and E[v, xy];
+    an O(n^2) scan of (z, w) for the least such (x, y) then gives the
+    least quadruple.  Both scans run over all ordered pairs: the
+    conditions are symmetric in x, y and in z, w and never hold for
+    x = y or z = w, so the first hit in C order has x < y and z < w.
+    """
     n, leq = L.n, L.leq
     join, meet = L.join_table, L.meet_table
-    for x in range(n):
-        for y in range(x + 1, n):
-            xy = meet[x, y]
-            for z in range(n):
-                if xy == meet[xy, z]:
-                    continue  # xy <= z settles every (z, w) and (w, z)
-                for w in range(z + 1, n):
-                    if xy != meet[xy, w]:
-                        zw = join[z, w]
-                        if (
-                            leq[xy, zw]
-                            and not leq[x, zw]
-                            and not leq[y, zw]
-                        ):
-                            return PropertyReport("whitman", False, (x, y, z, w))
-    return PropertyReport("whitman", True)
+    nle = ~leq  # nle[u, t]: u is not below t
+    above = np.ascontiguousarray(nle.T)  # above[t, u] = nle[u, t]
+    E = np.zeros((n, n), dtype=bool)
+    for start, stop in chunk_ranges(n * n, n):
+        z, w = np.divmod(np.arange(start, stop), n)
+        keep = z < w
+        if not keep.any():
+            continue
+        z, w = z[keep], w[keep]
+        v = join[z, w]
+        by_v = np.argsort(v, kind="stable")
+        z, w, v = z[by_v], w[by_v], v[by_v]
+        first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+        E[v[first]] |= np.logical_or.reduceat(above[z] & above[w], first, axis=0)
+    E_at = np.ascontiguousarray(E.T)  # E_at[u, v] = E[v, u]
+
+    def fails(xy):
+        x, y = np.divmod(xy, n)
+        m = meet[x, y]
+        return leq[m] & nle[x] & nle[y] & E_at[m]
+
+    hit = first_hit(n * n, n, fails)
+    if hit is None:
+        return PropertyReport("whitman", True)
+    x, y = divmod(hit[0], n)
+    m = meet[x, y]
+
+    def quad(z):
+        v = join[z]
+        return nle[m, z][:, None] & nle[m] & leq[m][v] & nle[x][v] & nle[y][v]
+
+    z, w = first_hit(n, n, quad)
+    return PropertyReport("whitman", False, (x, y, z, w))
 
 
 _PATTERNS = {"M3": m3, "N5": n5}
@@ -177,7 +211,10 @@ class CrossCheckReport:
 
     @property
     def agree(self):
-        return True  # construction refuses to produce a disagreement
+        n5_free = self.n5_embedding is None
+        return self.modular == n5_free and self.distributive == (
+            n5_free and self.m3_embedding is None
+        )
 
     def to_json_dict(self):
         return {

@@ -12,7 +12,7 @@ generated sublattice.
 from dataclasses import dataclass
 
 from .core import FiniteLattice, canonical_key
-from .errors import BadConfiguration, UniversalityFailure
+from .errors import BadConfiguration, InvariantViolated, UniversalityFailure
 from .freeterm import eval_term, parse
 
 FLP_TERMS = {
@@ -69,7 +69,8 @@ def flp_nine():
     L = FiniteLattice.from_covers(9, covers, names=names)
     # transcription guard: the three generators must regenerate everything
     gen = generate_sublattice(L, {index["A"], index["B"], index["C"]})
-    assert gen == set(range(9)), "FL(P) transcription error"
+    if gen != set(range(9)):
+        raise InvariantViolated("FL(P) transcription error")
     return L
 
 
@@ -153,7 +154,8 @@ def gadget(L, a, b, c):
         name: eval_term(term, L, assignment) for name, term in FLP_TERMS.items()
     }
     generated = generate_sublattice(L, {a, b, c})
-    assert generated == set(images.values()), "gadget closure beyond FL(P) images"
+    if generated != set(images.values()):
+        raise InvariantViolated("gadget closure beyond FL(P) images")
     by_image = {}
     for name in _FLP_ORDER:
         by_image.setdefault(images[name], []).append(name)

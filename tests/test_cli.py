@@ -35,6 +35,23 @@ def test_check_unknown_property_exit_two(n5_file):
     assert run(["check", n5_file, "--property", "bogus"]) == 2
 
 
+def test_check_reports_requested_property_name(n5_file, capsys):
+    for name in ("sd", "sd-join", "sd-meet"):
+        assert run(["check", n5_file, "--property", name]) == 0
+        assert json.loads(capsys.readouterr().out)["property"] == name
+
+
+def test_enum_unknown_property_exits_before_enumerating(monkeypatch, capsys):
+    import latkit.cli
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before checking the property names")
+
+    monkeypatch.setattr(latkit.cli, "iter_lattices", no_enumeration)
+    assert run(["enum", "--max-n", "11", "--property", "whitman,nonsense"]) == 2
+    assert "nonsense" in capsys.readouterr().err
+
+
 def test_unknown_verb_exit_two():
     assert run(["frobnicate"]) == 2
 

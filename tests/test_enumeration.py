@@ -150,6 +150,19 @@ def test_verify_corpus_prop_width2_sentinel(monkeypatch):
     assert info.value.witness.n == 4  # 2 x C_2 is the first instance
 
 
+def test_verify_corpus_counts_m3n5_disagreements(monkeypatch):
+    import latkit.properties
+    from latkit.enumeration import iter_lattices
+
+    # a modular checker that always says no disagrees on every N5-free lattice
+    fake = latkit.properties.PropertyReport("modular", False, (0, 0, 0))
+    monkeypatch.setattr(latkit.properties, "is_modular", lambda L: fake)
+    expected = sum(1 for L in iter_lattices(5) if latkit.properties.find_forbidden(L, "N5") is None)
+    report = verify_corpus(max_n=5, census_max=5)
+    assert report["m3n5"] == {"max_n": 5, "disagreements": expected, "pass": False}
+    assert expected > 0 and not report["pass"]
+
+
 def test_verify_corpus_small():
     report = verify_corpus(max_n=6, census_max=6)
     assert report["pass"]

@@ -15,6 +15,7 @@ from latkit import (
     two_by_chain,
 )
 from latkit.properties import (
+    CrossCheckReport,
     check_property,
     embedding_is_valid,
     find_forbidden,
@@ -162,6 +163,16 @@ def test_crosscheck_examples():
     report = m3n5_crosscheck(m3())
     assert report.modular and report.m3_embedding is not None
     assert not report.distributive
+
+
+def test_crosscheck_agree_is_computed():
+    for L in (n5(), m3(), chain(3)):
+        assert m3n5_crosscheck(L).agree
+    emb = find_forbidden(n5(), "N5")
+    assert not CrossCheckReport(True, False, emb, None).agree
+    assert not CrossCheckReport(False, False, None, None).agree
+    assert not CrossCheckReport(True, True, None, find_forbidden(m3(), "M3")).agree
+    assert CrossCheckReport(True, False, None, find_forbidden(m3(), "M3")).agree
 
 
 # -- oracle agreement over the enumerated corpus -------------------------

@@ -220,3 +220,24 @@ def test_census_jobs_deterministic(stream6):
     par = gadget_census(stream6, jobs=2)
     assert seq.fingerprints == par.fingerprints
     assert seq.iso_classes == par.iso_classes
+
+
+def test_sentinels_survive_optimized_mode():
+    """Bug sentinels are exceptions, not asserts, which python -O strips."""
+    import ast
+    import pathlib
+
+    import latkit
+
+    for path in pathlib.Path(latkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_flp_transcription_sentinel(monkeypatch):
+    import latkit.subalgebra
+    from latkit.errors import InvariantViolated
+
+    monkeypatch.setattr(latkit.subalgebra, "generate_sublattice", lambda L, seed: set(seed))
+    with pytest.raises(InvariantViolated):
+        latkit.subalgebra.flp_nine()
