@@ -44,7 +44,7 @@ class FiniteLattice:
     leq.  join_table/meet_table hold element indices.
     """
 
-    def __init__(self, leq, names=None, _validated=False):
+    def __init__(self, leq, names=None, _validated=False, _tables=None):
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         if n > size_cap():
@@ -56,7 +56,9 @@ class FiniteLattice:
             raise ValueError("names length must equal n")
         if not _validated:
             self._check_partial_order()
-        self.join_table, self.meet_table = self._build_tables()
+        if _tables is None:
+            _tables = self._build_tables()
+        self.join_table, self.meet_table = _tables
         for arr in (self.leq, self.join_table, self.meet_table):
             arr.flags.writeable = False
 
@@ -280,13 +282,19 @@ class FiniteLattice:
         return blocks
 
     def restrict(self, subset):
-        """Induced lattice on a join/meet-closed subset; the rebuilt
-        tables re-verify unique bounds."""
+        """Induced lattice on a subset.  A join/meet-closed subset keeps
+        this lattice's tables, renumbered; any other subset gets rebuilt
+        tables, which re-verify unique bounds."""
         subset = sorted(subset)
         idx = np.asarray(subset, dtype=int)
-        sub = self.leq[np.ix_(idx, idx)].copy()
+        cell = np.ix_(idx, idx)
         names = [self.name_of(x) for x in subset] if self.names else None
-        return FiniteLattice(sub, names=names, _validated=True), subset
+        position = np.full(self.n, -1, dtype=np.int32)
+        position[idx] = np.arange(len(subset), dtype=np.int32)
+        tables = position[self.join_table[cell]], position[self.meet_table[cell]]
+        if (tables[0] < 0).any() or (tables[1] < 0).any():
+            tables = None
+        return FiniteLattice(self.leq[cell], names=names, _validated=True, _tables=tables), subset
 
     def relabel(self, perm):
         """Copy with element i renamed to perm[i]."""
@@ -443,7 +451,8 @@ def first_hit(rows, width, test):
 
 def dual(L):
     """The order dual: joins and meets swap roles."""
-    return FiniteLattice(L.leq.T.copy(), names=L.names, _validated=True)
+    tables = L.meet_table, L.join_table  # frozen, so safe to share
+    return FiniteLattice(L.leq.T.copy(), names=L.names, _validated=True, _tables=tables)
 
 
 # -- isomorphism and canonical forms -----------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from latkit import FiniteLattice, boolean, chain, linear_sum, n5, product, two_by_chain
-from latkit.core import transitive_closure
+from latkit.core import dual, transitive_closure
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.properties import (
     is_distributive,
@@ -17,6 +17,7 @@ from latkit.properties import (
     is_semidistributive,
     whitman_w,
 )
+from latkit.subalgebra import generate_sublattice
 
 
 def diamond(k):
@@ -55,6 +56,26 @@ def test_construction_matches_oracles(stream9, large_shapes):
         assert (transitive_closure(L.leq) == L.leq).all()
         rebuilt = FiniteLattice.from_covers(L.n, L.covers)
         assert (rebuilt.leq == L.leq).all()
+
+
+def test_restrict_and_dual_tables_match_oracles(stream7):
+    def assert_tables(L):
+        join, meet = oracles.build_tables(L.leq)
+        assert (L.join_table == join).all() and (L.meet_table == meet).all()
+
+    for L in stream7:
+        assert_tables(dual(L))
+        for seed in ({0, L.n - 1}, set(range(0, L.n, 2)), {L.n // 2, max(L.n - 2, 0)}):
+            sub, subset = L.restrict(generate_sublattice(L, seed))
+            assert_tables(sub)
+            assert (sub.leq == L.leq[np.ix_(subset, subset)]).all()
+    # a subset that is not a sublattice gets searched tables: {0, 1, 2, 7}
+    # is a square whose atoms join to 7, where in the cube they join to 3
+    sub, subset = boolean(3).restrict({0, 1, 2, 7})
+    assert_tables(sub)
+    assert subset[sub.join(1, 2)] == 7
+    with pytest.raises(NotALattice):
+        boolean(3).restrict({1, 2, 4, 7})
 
 
 def test_checkers_match_oracles(stream9, large_shapes):
