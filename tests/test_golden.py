@@ -5,11 +5,13 @@ The files under tests/golden/ are the stdout of
     latkit enum --max-n 8
     latkit gadget-census --max-n 8
     latkit gadget FLP.json 4 2 6      # flp_nine() saved, generators A, B, C
+    latkit verify corpus --max-n 9
 
-and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10``.  A
-refactor of the enumerator or of canonical labelling must leave them
-unchanged: enumeration order, representatives and gadget iso classes
-all show up in these bytes.
+and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10`` and
+of ``latkit scan conjecture1 --max-n 9 --full``.  A refactor of the
+enumerator, of canonical labelling or of the verification driver must
+leave them unchanged: enumeration order, representatives, gadget iso
+classes and every section of the corpus report show up in these bytes.
 """
 
 import hashlib
@@ -50,4 +52,15 @@ def test_golden_gadget_flp_nine(tmp_path, capsys):
 def test_golden_enum_max_n_10_sha256(capsys):
     expected = (GOLDEN / "enum_max_n_10_cap_10.sha256").read_text().strip()
     out = _stdout(["enum", "--max-n", "10", "--cap", "10"], capsys)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def test_golden_verify_corpus_max_n_9(capsys):
+    expected = (GOLDEN / "verify_corpus_max_n_9.txt").read_text(encoding="utf-8")
+    assert _stdout(["verify", "corpus", "--max-n", "9"], capsys) == expected
+
+
+def test_golden_scan_conjecture1_max_n_9_full_sha256(capsys):
+    expected = (GOLDEN / "scan_conjecture1_max_n_9_full.sha256").read_text().strip()
+    out = _stdout(["scan", "conjecture1", "--max-n", "9", "--full"], capsys)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
