@@ -9,6 +9,7 @@ chains.  Both sides are computed independently and must agree.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .catalog import cube3, two_by_chain
 from .core import find_isomorphism
@@ -52,6 +53,19 @@ class GJVerdict:
             "passes": self.passes,
         }
 
+    @property
+    def qualifies(self):
+        """Indecomposable, distributive and free of doubly reducible
+        elements: the hypothesis of the width-two and width-three
+        propositions."""
+        return self.distributive and self.dr_free and len(self.blocks) == 1
+
+
+# Reference lattices, built once per process.  Bounded, because a block
+# of 4,096 elements would pin the 4 MB tables of 2 x C_2048.
+_cube = lru_cache(maxsize=1)(cube3)
+_ladder = lru_cache(maxsize=32)(two_by_chain)
+
 
 def classify_block(L, block):
     """Tag one linearly indecomposable block of L."""
@@ -59,10 +73,10 @@ def classify_block(L, block):
     if len(members) == 1:
         return "Singleton"
     sub, _ = L.restrict(members)
-    if sub.n == 8 and find_isomorphism(sub, cube3()) is not None:
+    if sub.n == 8 and find_isomorphism(sub, _cube()) is not None:
         return "Cube"
     if sub.n % 2 == 0 and sub.n >= 4:
-        if find_isomorphism(sub, two_by_chain(sub.n // 2)) is not None:
+        if find_isomorphism(sub, _ladder(sub.n // 2)) is not None:
             return "TwoByChain"
     return "Other"
 
@@ -206,7 +220,7 @@ def constructive_iso_2xc(L):
         f[x] = j
     for j, x in enumerate(high):
         f[x] = m + j
-    target = two_by_chain(m)
+    target = _ladder(m)
     if sorted(f) != list(range(n)):
         raise InvariantViolated("rail map is not a bijection")
     for x in range(n):
@@ -218,41 +232,27 @@ def constructive_iso_2xc(L):
     return f
 
 
-def _qualifies_width3(L):
-    return (
-        len(L.linear_decompose()) == 1
-        and is_distributive(L).verdict
-        and not L.doubly_reducibles()
-        and L.width() == 3
-    )
-
-
 @dataclass(frozen=True)
 class Width3Report:
     scanned: int
     qualifying: int
 
-    def to_json_dict(self):
-        return {"scanned": self.scanned, "qualifying": self.qualifying}
 
-
-def verify_prop_width3(lattices):
+def verify_prop_width3(lattices, verdicts=None):
     """Indecomposable distributive DR-free width-3 lattices must all be
-    the cube; raises CounterexampleFound otherwise."""
-    cube = cube3()
-    scanned = qualifying = 0
-    saw_cube = False
-    for L in lattices:
-        scanned += 1
-        if _qualifies_width3(L):
+    the cube; raises CounterexampleFound otherwise.  verdicts, if given,
+    are the check_theorem verdicts of the lattices in order; a None
+    verdict (the theorem check disagreed) does not qualify."""
+    lattices = list(lattices)
+    if verdicts is None:
+        verdicts = map(check_theorem, lattices)
+    qualifying = 0
+    for L, verdict in zip(lattices, verdicts):
+        if verdict is not None and verdict.qualifies and L.width() == 3:
             qualifying += 1
-            if find_isomorphism(L, cube) is None:
+            if find_isomorphism(L, _cube()) is None:
                 raise CounterexampleFound(
                     f"width-3 qualifier not isomorphic to the cube: {L!r}",
                     witness=L,
                 )
-            if L.n == 8:
-                saw_cube = True
-    if qualifying and not saw_cube:
-        raise CounterexampleFound("qualifiers found but none of cube size")
-    return Width3Report(scanned=scanned, qualifying=qualifying)
+    return Width3Report(scanned=len(lattices), qualifying=qualifying)

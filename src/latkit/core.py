@@ -29,6 +29,17 @@ def size_cap():
     return int(value) if value else DEFAULT_SIZE_CAP
 
 
+def parallel_map(fn, items, jobs, chunksize):
+    """[fn(x) for x in items], spread over jobs worker processes when
+    jobs > 1; the output keeps the input order either way."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 @dataclass(frozen=True)
 class Block:
     """One summand of a linear-sum decomposition."""

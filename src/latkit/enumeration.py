@@ -1,6 +1,5 @@
 """Exhaustive generation of small finite lattices, one representative
-per isomorphism class, plus the brute-force oracle and the scanners
-built on the stream.
+per isomorphism class, and the scanners built on the stream.
 
 Generation scheme: a finite lattice minus its top is a meet-semilattice
 and every finite meet-semilattice plus a new top is a lattice, so
@@ -10,8 +9,8 @@ which admits orderly generation: extend by a new maximal element whose
 strict down-set is an ideal D such that D intersect down(x) has a
 greatest element for every x (the meet condition), and accept a child
 iff deleting its canonically chosen maximal element returns the parent
-(canonical-parent test), with per-parent dedup of child keys.  The slow
-poset-filter path is retained as an independent oracle.
+(canonical-parent test), with per-parent dedup of child keys.  The
+tests check it against a slow poset-filter oracle.
 
 Internal representation: a poset with natural labeling (i < j in the
 order implies i < j as integers) stored as a tuple dwn with dwn[i] the
@@ -22,8 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteLattice, canonical_form
-from .errors import CapExceeded, CounterexampleFound, M3N5Disagreement
+from .core import FiniteLattice, canonical_form, parallel_map
+from .errors import (
+    CounterexampleFound,
+    M3N5Disagreement,
+    SizeCapExceeded,
+    TheoremDisagreement,
+    UniversalityFailure,
+)
 from .properties import is_semidistributive, whitman_w
 
 DEFAULT_ENUM_CAP = 9
@@ -135,7 +140,7 @@ def all_lattices(n, cap=DEFAULT_ENUM_CAP):
     """All isomorphism classes of n-element lattices, deterministically
     ordered by canonical key of the top-removed semilattice."""
     if not 1 <= n <= cap:
-        raise CapExceeded(f"n={n} outside 1..{cap}")
+        raise SizeCapExceeded(f"n={n} outside 1..{cap}")
     if n == 1:
         return [_lattice_from_dwn((1,), add_top=False)]
     return [_lattice_from_dwn(s, add_top=True) for s in _semilattices(n - 1)]
@@ -144,79 +149,6 @@ def all_lattices(n, cap=DEFAULT_ENUM_CAP):
 def iter_lattices(max_n, cap=DEFAULT_ENUM_CAP):
     for n in range(1, max_n + 1):
         yield from all_lattices(n, cap=cap)
-
-
-# -- brute-force oracle ------------------------------------------------
-
-
-def oracle_lattice_census(n, prune_meets=None):
-    """Poset-filter oracle: enumerate natural-labeled posets, keep the
-    lattices, dedupe by canonical key.  Returns (classes, labeled).
-
-    With prune_meets (default for n >= 8) branches that already lack a
-    pairwise meet are cut early; the surviving leaves are the same.
-    """
-    if prune_meets is None:
-        prune_meets = n >= 8
-    keys = set()
-    labeled = 0
-    dwn = []
-
-    def ideals(j):
-        out = []
-        for D in range(1 << j):
-            if any(dwn[i] & ~D for i in _bits(D)):
-                continue
-            if prune_meets:
-                ok = True
-                for x in range(j):
-                    if (D >> x) & 1:
-                        continue
-                    B = D & dwn[x]
-                    if B == 0:
-                        ok = False
-                        break
-                    hb = B.bit_length() - 1
-                    if B & ~dwn[hb]:
-                        ok = False
-                        break
-                if not ok or (D == 0 and j > 0):
-                    continue
-            out.append(D)
-        return out
-
-    def is_lattice():
-        ups = _ups_of(dwn)
-        for i in range(n):
-            for j in range(i + 1, n):
-                U = ups[i] & ups[j]
-                if U == 0:
-                    return False
-                lb = (U & -U).bit_length() - 1
-                if U & ~ups[lb]:
-                    return False
-                B = dwn[i] & dwn[j]
-                if B == 0:
-                    return False
-                hb = B.bit_length() - 1
-                if B & ~dwn[hb]:
-                    return False
-        return True
-
-    def rec(j):
-        nonlocal labeled
-        if j == n:
-            if is_lattice():
-                labeled += 1
-                keys.add(poset_key(tuple(dwn)))
-            return
-        for D in ideals(j):
-            dwn.append(D | (1 << j))
-            rec(j + 1)
-            dwn.pop()
-
-    rec(0)
-    return len(keys), labeled
 
 
 def _property_flags(payload):
@@ -233,13 +165,7 @@ def filter_lattices(lattices, properties, jobs=1):
     if not properties:
         return lattices
     payloads = [(L, tuple(properties)) for L in lattices]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(_property_flags, payloads, chunksize=16))
-    else:
-        flags = [_property_flags(p) for p in payloads]
+    flags = parallel_map(_property_flags, payloads, jobs, chunksize=16)
     return [L for L, flag in zip(lattices, flags) if flag]
 
 
@@ -447,85 +373,75 @@ def conjecture1_scan(max_n, cap=DEFAULT_ENUM_CAP):
 
 
 def verify_corpus(max_n=9, census_max=8, jobs=1):
-    """Run every exhaustive acceptance check over the stream and
-    aggregate pass/fail verdicts with witnesses."""
+    """Run every exhaustive acceptance check over one pass of the stream
+    and aggregate pass/fail verdicts with witnesses.  Each lattice with
+    n <= min(max_n, 9) is built once and goes to every section whose size
+    limit it meets; one whose theorem check disagrees is counted there
+    and skips the sections gated on its verdict."""
     from .classifier import check_theorem, constructive_iso_2xc, verify_prop_width3
-    from .core import find_isomorphism
-    from .catalog import two_by_chain
     from .jonsson import d_sequence
-    from .properties import is_distributive, m3n5_crosscheck
+    from .properties import m3n5_crosscheck
     from .subalgebra import gadget_census, verify_universal
 
-    report = {}
-
-    counts = [len(all_lattices(n)) for n in range(1, min(max_n, 7) + 1)]
-    report["counts"] = {
-        "computed": counts,
-        "expected": list(LATTICE_COUNTS[: len(counts)]),
-        "pass": counts == list(LATTICE_COUNTS[: len(counts)]),
-    }
-
-    crosscheck_max = min(max_n, 8)
-    disagreements = 0
-    for L in iter_lattices(crosscheck_max):
-        try:
-            m3n5_crosscheck(L)
-        except M3N5Disagreement:
-            disagreements += 1
-    report["m3n5"] = {
-        "max_n": crosscheck_max,
-        "disagreements": disagreements,
-        "pass": disagreements == 0,
-    }
-
-    width3 = verify_prop_width3(iter_lattices(min(max_n, 9)))
-    expected_width3 = 1 if max_n >= 8 else 0  # the cube has eight elements
-    report["prop_width3"] = {
-        "scanned": width3.scanned,
-        "qualifying": width3.qualifying,
-        "pass": width3.qualifying == expected_width3,
-    }
-
+    top = min(max_n, 9)
+    lattices = list(iter_lattices(top))
+    counts = [0] * max(min(max_n, 7), 0)
+    verdicts = []
+    m3n5 = theorem = universality = quadrant = 0  # failing lattices per section
     width2 = 0
-    for L in iter_lattices(min(max_n, 9)):
-        if (
-            len(L.linear_decompose()) == 1
-            and is_distributive(L).verdict
-            and not L.doubly_reducibles()
-            and L.width() == 2
-        ):
+    for L in lattices:
+        if L.n <= 7:
+            counts[L.n - 1] += 1
+        if L.n <= 8:
+            try:
+                m3n5_crosscheck(L)
+            except M3N5Disagreement:
+                m3n5 += 1
+        if L.n <= 6:
+            try:
+                verify_universal(L)
+            except UniversalityFailure:
+                universality += 1
+        verdict = None
+        try:
+            verdict = check_theorem(L)
+        except TheoremDisagreement:
+            theorem += 1
+        verdicts.append(verdict)
+        if verdict is None:
+            continue
+        if verdict.qualifies and L.width() == 2:
             width2 += 1
             if constructive_iso_2xc(L) is None:
                 raise CounterexampleFound("prop_width2: no constructive map onto 2 x C", L)
-            if find_isomorphism(L, two_by_chain(L.n // 2)) is None:
+            if verdict.blocks[0].tag != "TwoByChain":
                 raise CounterexampleFound("prop_width2: not isomorphic to 2 x C", L)
-    expected_width2 = max(min(max_n, 9) // 2 - 1, 0)  # 2 x C_k for k >= 2
-    report["prop_width2"] = {"instances": width2, "pass": width2 == expected_width2}
+        if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":
+            quadrant += 1
 
-    for L in iter_lattices(min(max_n, 9)):
-        check_theorem(L)  # raises TheoremDisagreement on failure
-    report["gj_theorem"] = {"max_n": min(max_n, 9), "pass": True}
-
-    census = gadget_census(iter_lattices(min(census_max, 8)), jobs=jobs)
-    report["gadget_census"] = {
-        "gadgets": census.gadgets,
-        "iso_classes": len(census.iso_classes),
-        "fingerprints": len(census.fingerprints),
-        "pass": len(census.iso_classes) <= 6 and len(census.fingerprints) <= 7,
+    expected = list(LATTICE_COUNTS[: len(counts)])
+    width3 = verify_prop_width3(lattices, verdicts)
+    census_top = min(max_n, census_max, 8)
+    census = gadget_census((L for L in lattices if L.n <= census_top), jobs=jobs)
+    report = {
+        "counts": {"computed": counts, "expected": expected, "pass": counts == expected},
+        "m3n5": {"max_n": min(max_n, 8), "disagreements": m3n5, "pass": m3n5 == 0},
+        "prop_width3": {
+            "scanned": width3.scanned,
+            "qualifying": width3.qualifying,
+            "pass": width3.qualifying == int(max_n >= 8),  # the cube has eight elements
+        },
+        # 2 x C_k for k >= 2
+        "prop_width2": {"instances": width2, "pass": width2 == max(top // 2 - 1, 0)},
+        "gj_theorem": {"max_n": top, "pass": theorem == 0},
+        "gadget_census": {
+            "gadgets": census.gadgets,
+            "iso_classes": len(census.iso_classes),
+            "fingerprints": len(census.fingerprints),
+            "pass": len(census.iso_classes) <= 6 and len(census.fingerprints) <= 7,
+        },
+        "universality": {"max_n": min(max_n, 6), "pass": universality == 0},
+        "distributive_quadrant": {"pass": quadrant == 0},
     }
-
-    for L in iter_lattices(min(max_n, 6)):
-        verify_universal(L)
-    report["universality"] = {"max_n": min(max_n, 6), "pass": True}
-
-    quadrant_ok = True
-    for L in iter_lattices(min(max_n, 8)):
-        if is_distributive(L).verdict:
-            if d_sequence(L).quadrant != "(=,=)":
-                quadrant_ok = False
-    report["distributive_quadrant"] = {"pass": quadrant_ok}
-
-    report["pass"] = all(
-        section.get("pass", True) for section in report.values() if isinstance(section, dict)
-    )
+    report["pass"] = all(section["pass"] for section in report.values())
     return report

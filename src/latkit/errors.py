@@ -23,11 +23,7 @@ class NotALattice(LatkitError):
 
 
 class SizeCapExceeded(LatkitError):
-    """A construction would exceed the configured element cap."""
-
-
-class CapExceeded(LatkitError):
-    """Enumeration request beyond the configured size cap."""
+    """A construction or an enumeration request exceeds its size cap."""
 
 
 class BadConfiguration(LatkitError):

@@ -19,7 +19,6 @@ nontrivial join cover of x is contained in D_k.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import dual
 
@@ -136,59 +135,3 @@ def d_sequence(L):
         quadrant=f"({left},{right})",
     )
 
-
-# -- brute-force oracle (all subsets; used by the tests) ----------------
-
-
-def all_nontrivial_covers(L, x):
-    """Every nontrivial join cover of x, by scanning all subsets."""
-    out = []
-    elems = range(L.n)
-    for size in range(1, L.n + 1):
-        for X in combinations(elems, size):
-            if any(L.le(x, y) for y in X):
-                continue
-            if L.le(x, L.join_all(X)):
-                out.append(X)
-    return out
-
-
-def oracle_min_join_covers(L, x):
-    """Minimal covers by the literal definition over all subsets."""
-    covers = all_nontrivial_covers(L, x)
-    out = []
-    for X in covers:
-        if all(set(X) <= set(Y) for Y in covers if refines(L, Y, X)):
-            out.append(tuple(sorted(X)))
-    return sorted(set(out))
-
-
-def oracle_d_layers(L):
-    """D-layers by the literal definition quantifying over all subsets.
-
-    A refining cover X' <= D_k with X' << X exists iff the largest
-    candidate, {d in D_k : d below some member of X}, already covers x
-    (joins are monotone), so the inner existential collapses.
-    """
-    covers_by_elem = {x: all_nontrivial_covers(L, x) for x in range(L.n)}
-    current = frozenset(x for x in range(L.n) if not covers_by_elem[x])
-    layers = [current]
-    while True:
-        nxt = set()
-        for x in range(L.n):
-            ok = True
-            for X in covers_by_elem[x]:
-                candidates = [
-                    d for d in current if any(L.le(d, y) for y in X)
-                ]
-                if not candidates or not L.le(x, L.join_all(candidates)):
-                    ok = False
-                    break
-            if ok:
-                nxt.add(x)
-        nxt = frozenset(nxt)
-        if nxt == current:
-            break
-        layers.append(nxt)
-        current = nxt
-    return layers

@@ -11,7 +11,7 @@ generated sublattice.
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, canonical_key
+from .core import FiniteLattice, canonical_key, parallel_map
 from .errors import BadConfiguration, InvariantViolated, UniversalityFailure
 from .freeterm import eval_term, parse
 
@@ -176,9 +176,6 @@ def gadget(L, a, b, c):
 class UniversalityReport:
     triples_checked: int
 
-    def to_json_dict(self):
-        return {"triples_checked": self.triples_checked, "all_passed": True}
-
 
 def verify_universal(L):
     """Check the universal property on every admissible triple of L.
@@ -250,13 +247,7 @@ def census_one(L):
 def gadget_census(lattices, jobs=1):
     """Count gadget (fingerprint, iso class) cases over a lattice stream."""
     lattices = list(lattices)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(census_one, lattices, chunksize=8))
-    else:
-        results = [census_one(L) for L in lattices]
+    results = parallel_map(census_one, lattices, jobs, chunksize=8)
     pairs, gadgets = {}, 0
     for total, chunk in results:
         gadgets += total

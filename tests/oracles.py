@@ -1,12 +1,17 @@
 """Slow reference implementations that the library's fast paths are
 checked against: dense bool-matmul closure and covers, the pairwise
-table build and the loop checkers.  Each returns what the library
-function returns, witness and error pair included.
+table build, the loop checkers, the poset-filter lattice census and the
+all-subsets join-cover and D-layer definitions.  Each returns what the
+library function returns, witness and error pair included.
 """
+
+from itertools import combinations
 
 import numpy as np
 
+from latkit.enumeration import _bits, _ups_of, poset_key
 from latkit.errors import NotALattice, NotAPartialOrder
+from latkit.jonsson import refines
 from latkit.properties import PropertyReport
 
 
@@ -120,3 +125,127 @@ def whitman_w(L):
                         if leq[xy, zw] and not leq[x, zw] and not leq[y, zw]:
                             return PropertyReport("whitman", False, (x, y, z, w))
     return PropertyReport("whitman", True)
+
+
+def oracle_lattice_census(n, prune_meets=None):
+    """Poset-filter oracle: enumerate natural-labeled posets, keep the
+    lattices, dedupe by canonical key.  Returns (classes, labeled).
+
+    With prune_meets (default for n >= 8) branches that already lack a
+    pairwise meet are cut early; the surviving leaves are the same.
+    """
+    if prune_meets is None:
+        prune_meets = n >= 8
+    keys = set()
+    labeled = 0
+    dwn = []
+
+    def ideals(j):
+        out = []
+        for D in range(1 << j):
+            if any(dwn[i] & ~D for i in _bits(D)):
+                continue
+            if prune_meets:
+                ok = True
+                for x in range(j):
+                    if (D >> x) & 1:
+                        continue
+                    B = D & dwn[x]
+                    if B == 0:
+                        ok = False
+                        break
+                    hb = B.bit_length() - 1
+                    if B & ~dwn[hb]:
+                        ok = False
+                        break
+                if not ok or (D == 0 and j > 0):
+                    continue
+            out.append(D)
+        return out
+
+    def is_lattice():
+        ups = _ups_of(dwn)
+        for i in range(n):
+            for j in range(i + 1, n):
+                U = ups[i] & ups[j]
+                if U == 0:
+                    return False
+                lb = (U & -U).bit_length() - 1
+                if U & ~ups[lb]:
+                    return False
+                B = dwn[i] & dwn[j]
+                if B == 0:
+                    return False
+                hb = B.bit_length() - 1
+                if B & ~dwn[hb]:
+                    return False
+        return True
+
+    def rec(j):
+        nonlocal labeled
+        if j == n:
+            if is_lattice():
+                labeled += 1
+                keys.add(poset_key(tuple(dwn)))
+            return
+        for D in ideals(j):
+            dwn.append(D | (1 << j))
+            rec(j + 1)
+            dwn.pop()
+
+    rec(0)
+    return len(keys), labeled
+
+
+def all_nontrivial_covers(L, x):
+    """Every nontrivial join cover of x, by scanning all subsets."""
+    out = []
+    elems = range(L.n)
+    for size in range(1, L.n + 1):
+        for X in combinations(elems, size):
+            if any(L.le(x, y) for y in X):
+                continue
+            if L.le(x, L.join_all(X)):
+                out.append(X)
+    return out
+
+
+def oracle_min_join_covers(L, x):
+    """Minimal covers by the literal definition over all subsets."""
+    covers = all_nontrivial_covers(L, x)
+    out = []
+    for X in covers:
+        if all(set(X) <= set(Y) for Y in covers if refines(L, Y, X)):
+            out.append(tuple(sorted(X)))
+    return sorted(set(out))
+
+
+def oracle_d_layers(L):
+    """D-layers by the literal definition quantifying over all subsets.
+
+    A refining cover X' <= D_k with X' << X exists iff the largest
+    candidate, {d in D_k : d below some member of X}, already covers x
+    (joins are monotone), so the inner existential collapses.
+    """
+    covers_by_elem = {x: all_nontrivial_covers(L, x) for x in range(L.n)}
+    current = frozenset(x for x in range(L.n) if not covers_by_elem[x])
+    layers = [current]
+    while True:
+        nxt = set()
+        for x in range(L.n):
+            ok = True
+            for X in covers_by_elem[x]:
+                candidates = [
+                    d for d in current if any(L.le(d, y) for y in X)
+                ]
+                if not candidates or not L.le(x, L.join_all(candidates)):
+                    ok = False
+                    break
+            if ok:
+                nxt.add(x)
+        nxt = frozenset(nxt)
+        if nxt == current:
+            break
+        layers.append(nxt)
+        current = nxt
+    return layers

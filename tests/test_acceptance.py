@@ -19,7 +19,6 @@ from latkit.enumeration import (
     LATTICE_COUNTS,
     all_lattices,
     conjecture1_scan,
-    oracle_lattice_census,
     pocket_decomposition,
 )
 from latkit.errors import SplitObstruction
@@ -33,7 +32,7 @@ from latkit.freeterm import (
     generators,
     random_term,
 )
-from latkit.jonsson import _layers, d_sequence, min_join_covers, oracle_d_layers, oracle_min_join_covers
+from latkit.jonsson import _layers, d_sequence, min_join_covers
 from latkit.ladder import (
     decorate,
     extract_ladder,
@@ -50,6 +49,7 @@ from latkit.properties import (
     whitman_w,
 )
 from latkit.subalgebra import gadget_census, verify_universal
+from oracles import oracle_d_layers, oracle_lattice_census, oracle_min_join_covers
 
 
 def report(num, ok, detail):

@@ -5,13 +5,13 @@ from latkit.enumeration import (
     LATTICE_COUNTS,
     all_lattices,
     conjecture1_scan,
-    oracle_lattice_census,
     pocket_decomposition,
     poset_key,
     verify_corpus,
 )
-from latkit.errors import CapExceeded, CounterexampleFound
+from latkit.errors import CounterexampleFound, SizeCapExceeded
 from latkit.properties import whitman_w
+from oracles import oracle_lattice_census
 
 
 def test_counts_match_frozen():
@@ -78,9 +78,9 @@ def test_poset_key_identifies_relabelings():
 
 
 def test_cap_enforced():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(SizeCapExceeded):
         all_lattices(10)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(SizeCapExceeded):
         all_lattices(0)
     assert len(all_lattices(10, cap=10)) == 5994
 
@@ -161,6 +161,57 @@ def test_verify_corpus_counts_m3n5_disagreements(monkeypatch):
     report = verify_corpus(max_n=5, census_max=5)
     assert report["m3n5"] == {"max_n": 5, "disagreements": expected, "pass": False}
     assert expected > 0 and not report["pass"]
+
+
+def test_verify_corpus_counts_theorem_disagreements(monkeypatch, capsys):
+    import latkit.classifier
+    from latkit.cli import run
+
+    # every block tagged Other puts the shape side against the law side
+    # on each distributive lattice free of doubly reducible elements
+    monkeypatch.setattr(latkit.classifier, "classify_block", lambda L, block: "Other")
+    report = verify_corpus(max_n=5)
+    assert report["gj_theorem"] == {"max_n": 5, "pass": False}
+    assert not report["pass"]
+    assert run(["verify", "corpus", "--max-n", "5"]) == 1
+
+
+def test_verify_corpus_counts_universality_failures(monkeypatch, capsys):
+    import latkit.subalgebra
+    from latkit.cli import run
+    from latkit.errors import UniversalityFailure
+
+    def fail(L):
+        raise UniversalityFailure((0, 1, 2))
+
+    monkeypatch.setattr(latkit.subalgebra, "verify_universal", fail)
+    report = verify_corpus(max_n=5)
+    assert report["universality"] == {"max_n": 5, "pass": False}
+    assert not report["pass"]
+    assert run(["verify", "corpus", "--max-n", "5"]) == 1
+
+
+def test_verify_corpus_census_respects_max_n():
+    from latkit.enumeration import iter_lattices
+    from latkit.subalgebra import gadget_census
+
+    report = verify_corpus(max_n=5)
+    assert report["gadget_census"]["gadgets"] == gadget_census(iter_lattices(5)).gadgets == 1
+
+
+def test_verify_corpus_builds_each_lattice_once(monkeypatch):
+    import latkit.enumeration
+
+    built = []
+    original = latkit.enumeration._lattice_from_dwn
+
+    def counting(dwn, add_top):
+        built.append((dwn, add_top))
+        return original(dwn, add_top)
+
+    monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", counting)
+    assert verify_corpus(max_n=9)["pass"]
+    assert len(built) == len(set(built)) == sum(LATTICE_COUNTS) + 222 + 1078
 
 
 def test_verify_corpus_small():

@@ -4,11 +4,10 @@ from latkit.jonsson import (
     d_sequence,
     join_primes,
     min_join_covers,
-    oracle_d_layers,
-    oracle_min_join_covers,
     refines,
 )
 from latkit.properties import is_distributive
+from oracles import oracle_d_layers, oracle_min_join_covers
 
 
 def test_refines_examples():
