@@ -6,19 +6,32 @@ The files under tests/golden/ are the stdout of
     latkit gadget-census --max-n 8
     latkit gadget FLP.json 4 2 6      # flp_nine() saved, generators A, B, C
     latkit verify corpus --max-n 9
+    latkit check FILE --property P     # every P, then dseq FILE, on CORPUS
+    latkit ladder split SPEC --radius R  # LADDER_RUNS, in order
 
 and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10`` and
 of ``latkit scan conjecture1 --max-n 9 --full``.  A refactor of the
 enumerator, of canonical labelling or of the verification driver must
 leave them unchanged: enumeration order, representatives, gadget iso
-classes and every section of the corpus report show up in these bytes.
+classes and every section of the corpus report show up in these bytes; so do the
+checkers' witnesses, the D-sequence layers and the ladder coordinates.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
-from latkit import save_lattice
-from latkit.cli import run
+from latkit import (
+    FiniteLattice,
+    boolean,
+    chain,
+    linear_sum,
+    n5,
+    product,
+    save_lattice,
+    two_by_chain,
+)
+from latkit.cli import PROPERTIES, run
 from latkit.subalgebra import flp_nine
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,3 +77,47 @@ def test_golden_scan_conjecture1_max_n_9_full_sha256(capsys):
     expected = (GOLDEN / "scan_conjecture1_max_n_9_full.sha256").read_text().strip()
     out = _stdout(["scan", "conjecture1", "--max-n", "9", "--full"], capsys)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def _diamond(k):
+    return FiniteLattice.from_covers(
+        k + 2, [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    )
+
+
+CORPUS = [
+    two_by_chain(6),
+    boolean(4),
+    linear_sum(boolean(3), n5()),
+    _diamond(7),
+    product(chain(3), chain(4)),
+    flp_nine(),
+]
+
+# (radius, decoration spec or None for the bare window)
+LADDER_RUNS = [(r, None) for r in (2, 3, 4)] + [
+    (3, {"insert": [{"case": case, "at": 0}]}) for case in (1, 2, 3)
+]
+
+
+def test_golden_check_and_dseq(tmp_path, capsys):
+    out = []
+    for i, L in enumerate(CORPUS):
+        path = str(tmp_path / f"lattice{i}.json")
+        save_lattice(L, path)
+        out += [_stdout(["check", path, "--property", p], capsys) for p in PROPERTIES]
+        out.append(_stdout(["dseq", path], capsys))
+    expected = (GOLDEN / "check_dseq_corpus.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
+
+
+def test_golden_ladder_split(tmp_path, capsys):
+    out = []
+    for i, (radius, spec) in enumerate(LADDER_RUNS):
+        path = "none"
+        if spec is not None:
+            path = str(tmp_path / f"spec{i}.json")
+            Path(path).write_text(json.dumps(spec), encoding="utf-8")
+        out.append(_stdout(["ladder", "split", path, "--radius", str(radius)], capsys))
+    expected = (GOLDEN / "ladder_split.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
