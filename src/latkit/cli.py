@@ -167,16 +167,16 @@ def _cmd_scan(args):
 
 def _cmd_verify(args):
     if args.what == "gj":
-        checked = 0
-        try:
-            for L in iter_lattices(args.max_n):
+        checked = disagreements = 0
+        for L in iter_lattices(args.max_n):
+            try:
                 check_theorem(L)
-                checked += 1
-        except TheoremDisagreement as exc:
-            print(f"disagreement after {checked} lattices: {exc}", file=sys.stderr)
-            return 1
-        _dump({"checked": checked, "max_n": args.max_n, "pass": True})
-        return 0
+            except TheoremDisagreement as exc:
+                print(f"disagreement on lattice {checked}: {exc}", file=sys.stderr)
+                disagreements += 1
+            checked += 1
+        _dump({"checked": checked, "max_n": args.max_n, "pass": disagreements == 0})
+        return 1 if disagreements else 0
     try:
         report = verify_corpus(max_n=args.max_n, jobs=args.jobs)
     except CounterexampleFound as exc:
@@ -201,79 +201,69 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="latkit", description="finite lattice toolkit"
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", help="json output (only free changes format)"
+    )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("check", help="evaluate a property of a lattice file")
+    def verb(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("check", _cmd_check, "evaluate a property of a lattice file")
     p.add_argument("file")
     p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--json", action="store_true", help="json output (default)")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("dseq", help="Jonsson D-sequence and quadrant")
+    p = verb("dseq", _cmd_dseq, "Jonsson D-sequence and quadrant")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dseq)
 
-    p = sub.add_parser("classify", help="structure-theorem verdict")
+    p = verb("classify", _cmd_classify, "structure-theorem verdict")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("gadget", help="gadget report for a triple")
+    p = verb("gadget", _cmd_gadget, "gadget report for a triple")
     p.add_argument("file")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("gadget-census", help="census over all small lattices")
+    p = verb("gadget-census", _cmd_gadget_census, "census over all small lattices")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gadget_census)
 
-    p = sub.add_parser("free", help="free-lattice word problem")
+    p = verb("free", _cmd_free, "free-lattice word problem")
     p.add_argument("action", choices=("leq", "canon"))
     p.add_argument("terms", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_free)
 
-    p = sub.add_parser("ladder", help="ladder splitting on a window")
+    p = verb("ladder", _cmd_ladder, "ladder splitting on a window")
     p.add_argument("action", choices=("split",))
     p.add_argument("file", help="decoration spec json, or 'none'")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--a", type=int, default=None, help="cover bottom (default: (0,0))")
     p.add_argument("--b", type=int, default=None, help="cover top (default: (1,0))")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ladder)
 
-    p = sub.add_parser("enum", help="stream all lattices up to a size")
+    p = verb("enum", _cmd_enum, "stream all lattices up to a size")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--property", default="", help="comma-separated filters")
     p.add_argument("--emit", default=None, help="directory for lattice files")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("scan", help="conjecture evidence scans")
+    p = verb("scan", _cmd_scan, "conjecture evidence scans")
     p.add_argument("what", choices=("conjecture1",))
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--full", action="store_true", help="include per-lattice entries")
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("verify", help="exhaustive verification runs")
+    p = verb("verify", _cmd_verify, "exhaustive verification runs")
     p.add_argument("what", choices=("gj", "corpus"))
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("render", help="emit DOT")
+    p = verb("render", _cmd_render, "emit DOT")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_render)
 
     return top
 

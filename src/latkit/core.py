@@ -309,19 +309,11 @@ class FiniteLattice:
 
     def relabel(self, perm):
         """Copy with element i renamed to perm[i]."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
+        if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
-        out = np.zeros_like(self.leq)
-        for i in range(n):
-            for j in range(n):
-                out[perm[i], perm[j]] = self.leq[i, j]
-        names = None
-        if self.names:
-            names = [""] * n
-            for i in range(n):
-                names[perm[i]] = self.names[i]
-        return FiniteLattice(out, names=names, _validated=True)
+        inv = np.argsort(perm)  # inv[perm[i]] = i
+        names = [self.names[i] for i in inv] if self.names else None
+        return FiniteLattice(self.leq[np.ix_(inv, inv)], names=names, _validated=True)
 
     # -- irreducibles ---------------------------------------------------
 

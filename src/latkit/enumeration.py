@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteLattice, canonical_form, parallel_map
+from .core import FiniteLattice, _leq_of, canonical_form, parallel_map
 from .errors import (
     CounterexampleFound,
     M3N5Disagreement,
@@ -125,15 +125,10 @@ def _semilattices(k):
 
 
 def _lattice_from_dwn(dwn, add_top):
-    k = len(dwn)
-    n = k + 1 if add_top else k
-    leq = np.eye(n, dtype=bool)
-    for j in range(k):
-        for i in _bits(dwn[j]):
-            leq[i, j] = True
-    if add_top:
-        leq[:, k] = True
-    return FiniteLattice(leq, _validated=True)
+    """The lattice whose element j has down-set mask dwn[j], plus a top
+    whose down-set is everything when add_top is set."""
+    masks = list(dwn) + ([(1 << (len(dwn) + 1)) - 1] if add_top else [])
+    return FiniteLattice(np.ascontiguousarray(_leq_of(masks).T), _validated=True)
 
 
 def all_lattices(n, cap=DEFAULT_ENUM_CAP):
@@ -372,7 +367,7 @@ def conjecture1_scan(max_n, cap=DEFAULT_ENUM_CAP):
 # -- umbrella verification driver ---------------------------------------
 
 
-def verify_corpus(max_n=9, census_max=8, jobs=1):
+def verify_corpus(max_n=9, jobs=1):
     """Run every exhaustive acceptance check over one pass of the stream
     and aggregate pass/fail verdicts with witnesses.  Each lattice with
     n <= min(max_n, 9) is built once and goes to every section whose size
@@ -421,7 +416,7 @@ def verify_corpus(max_n=9, census_max=8, jobs=1):
 
     expected = list(LATTICE_COUNTS[: len(counts)])
     width3 = verify_prop_width3(lattices, verdicts)
-    census_top = min(max_n, census_max, 8)
+    census_top = min(max_n, 8)
     census = gadget_census((L for L in lattices if L.n <= census_top), jobs=jobs)
     report = {
         "counts": {"computed": counts, "expected": expected, "pass": counts == expected},

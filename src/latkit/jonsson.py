@@ -28,46 +28,40 @@ def refines(L, xp, x):
     return all(any(L.le(a, b) for b in x) for a in xp)
 
 
-def _antichains(L, members):
-    """All nonempty antichains from an element list."""
-    members = sorted(members)
-    out = []
-
-    def extend(prefix, rest):
-        for pos, cand in enumerate(rest):
-            if all(L.incomparable(cand, p) for p in prefix):
-                chosen = prefix + [cand]
-                out.append(tuple(chosen))
-                extend(chosen, rest[pos + 1 :])
-
-    extend([], members)
-    return out
-
-
 def min_join_covers(L, x):
     """All minimal nontrivial join covers of x.
 
     Searching antichains of join-irreducibles is complete: any
     nontrivial cover refines to a minimal one and minimal covers have
-    join-irreducible members.
+    join-irreducible members.  The antichains grow depth-first in index
+    order with a running join, and one that covers x is not extended: a
+    proper superset of a cover has a redundant member.  Every proper
+    subset of a minimal cover fails to cover x, so the search reaches
+    each minimal cover through its prefixes.
     """
     jis = [j for j in L.join_irreducibles() if not L.le(x, j)]
     lower_star = {j: L.lower_covers[j][0] for j in jis}
     covers = []
-    for X in _antichains(L, jis):
-        if not L.le(x, L.join_all(X)):
-            continue
-        minimal = True
+
+    def minimal(X):
         for drop in X:
             rest = [y for y in X if y != drop]
             if rest and L.le(x, L.join_all(rest)):
-                minimal = False  # member is redundant
-                break
+                return False  # member is redundant
             if L.le(x, L.join_all(rest + [lower_star[drop]])):
-                minimal = False  # member can be lowered
-                break
-        if minimal:
-            covers.append(tuple(sorted(X)))
+                return False  # member can be lowered
+        return True
+
+    def extend(prefix, joined, rest):
+        for pos, cand in enumerate(rest):
+            if all(L.incomparable(cand, p) for p in prefix):
+                X, up = prefix + [cand], L.join(joined, cand)
+                if not L.le(x, up):
+                    extend(X, up, rest[pos + 1 :])
+                elif minimal(X):
+                    covers.append(tuple(X))
+
+    extend([], L.bottom, jis)
     covers.sort()
     return covers
 

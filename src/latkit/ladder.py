@@ -301,30 +301,14 @@ def _dedupe_largest(values):
     return picks
 
 
-def _interval(L, lo, hi):
-    return [z for z in range(L.n) if L.le(lo, z) and L.le(z, hi)]
-
-
 def _least_coatom(L, lo, hi):
-    inside = _interval(L, lo, hi)
-    coatoms = [
-        z
-        for z in inside
-        if z != hi
-        and not any(y not in (z, hi) and L.le(z, y) and L.le(y, hi) for y in inside)
-    ]
-    return min(coatoms) if coatoms else None
+    """Least coatom of [lo, hi]: a lower cover of hi that lies above lo."""
+    return next((z for z in L.lower_covers[hi] if L.le(lo, z)), None)
 
 
 def _least_atom(L, lo, hi):
-    inside = _interval(L, lo, hi)
-    atoms = [
-        z
-        for z in inside
-        if z != lo
-        and not any(y not in (z, lo) and L.le(lo, y) and L.le(y, z) for y in inside)
-    ]
-    return min(atoms) if atoms else None
+    """Least atom of [lo, hi]: an upper cover of lo that lies below hi."""
+    return next((z for z in L.upper_covers[lo] if L.le(z, hi)), None)
 
 
 def extract_ladder(W, a, b, up_chain, down_chain):

@@ -142,46 +142,36 @@ _PATTERNS = {"M3": m3, "N5": n5}
 def find_forbidden(L, pattern):
     """Search for a sublattice isomorphic to M3 or N5.
 
-    A pentagon exists iff some triple x, y < z with x parallel to both
-    has x+y = x+z and xy = xz; a diamond iff some pairwise-incomparable
-    triple shares its pairwise joins and meets.  The two extra elements
-    of the five-tuple are forced, so this is the pruned five-tuple
-    search.  Returns the least embedding as a map from the catalog
-    pattern's elements, or None.
+    A pentagon exists iff some y < z and x have x+y = x+z and xy = xz;
+    such an x is parallel to y and to z.  A diamond exists iff some
+    parallel x, y and some z have x+y = x+z = y+z and xy = xz = yz; such
+    a z is parallel to x and to y.  The two extra elements of the
+    five-tuple are forced, so one first_hit scan over rows (x, y) and
+    columns z finds the least triple in C order; the diamond conditions
+    are symmetric, so its least triple has x < y < z.  Returns the least
+    embedding as a map from the catalog pattern's elements, or None.
     """
     if pattern not in _PATTERNS:
         raise ValueError(f"pattern must be M3 or N5, got {pattern!r}")
-    n = L.n
+    n, leq = L.n, L.leq
     join, meet = L.join_table, L.meet_table
-    inc = L.incomparable
-    if pattern == "N5":
-        for x in range(n):
-            for y in range(n):
-                if inc(x, y):
-                    for z in range(n):
-                        if (
-                            z != y
-                            and L.leq[y, z]
-                            and inc(x, z)
-                            and join[x, y] == join[x, z]
-                            and meet[x, y] == meet[x, z]
-                        ):
-                            bot, top = int(meet[x, y]), int(join[x, y])
-                            return {0: bot, 1: y, 2: x, 3: z, 4: top}
+    z = np.arange(n)
+
+    def fails(xy):
+        x, y = np.divmod(xy, n)
+        jxy, mxy = join[x, y][:, None], meet[x, y][:, None]
+        hit = (join[x] == jxy) & (meet[x] == mxy)
+        if pattern == "N5":
+            return hit & leq[y] & (z != y[:, None])
+        parallel = ~(leq[x, y] | leq[y, x])[:, None]
+        return hit & parallel & (join[y] == jxy) & (meet[y] == mxy)
+
+    hit = first_hit(n * n, n, fails)
+    if hit is None:
         return None
-    for x in range(n):
-        for y in range(x + 1, n):
-            if inc(x, y):
-                for z in range(y + 1, n):
-                    if (
-                        inc(x, z)
-                        and inc(y, z)
-                        and join[x, y] == join[x, z] == join[y, z]
-                        and meet[x, y] == meet[x, z] == meet[y, z]
-                    ):
-                        bot, top = int(meet[x, y]), int(join[x, y])
-                        return {0: bot, 1: x, 2: y, 3: z, 4: top}
-    return None
+    x, y = divmod(hit[0], n)
+    first, second = (y, x) if pattern == "N5" else (x, y)  # N5's 1 < 3, like y < z
+    return {0: int(meet[x, y]), 1: first, 2: second, 3: hit[1], 4: int(join[x, y])}
 
 
 def embedding_is_valid(L, pattern, emb):

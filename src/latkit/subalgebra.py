@@ -114,16 +114,7 @@ class GadgetReport:
 
 def _key_to_covers(key):
     """Canonical keys are relabeled order matrices; emit their covers."""
-    n = len(key)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and key[i][j]:
-                if not any(
-                    k != i and k != j and key[i][k] and key[k][j] for k in range(n)
-                ):
-                    out.append([i, j])
-    return out
+    return [list(c) for c in FiniteLattice(key, _validated=True).covers]
 
 
 def admissible_triples(L):

@@ -1,7 +1,8 @@
 """Slow reference implementations that the library's fast paths are
 checked against: dense bool-matmul closure and covers, the pairwise
-table build, the loop checkers, the poset-filter lattice census and the
-all-subsets join-cover and D-layer definitions.  Each returns what the
+table build, the loop checkers and forbidden-sublattice search, the
+poset-filter lattice census and the all-subsets join-cover and D-layer
+definitions.  Each returns what the
 library function returns, witness and error pair included.
 """
 
@@ -125,6 +126,41 @@ def whitman_w(L):
                         if leq[xy, zw] and not leq[x, zw] and not leq[y, zw]:
                             return PropertyReport("whitman", False, (x, y, z, w))
     return PropertyReport("whitman", True)
+
+
+def find_forbidden(L, pattern):
+    """Least M3 or N5 embedding by looping over (x, y, z) in C order."""
+    n = L.n
+    join, meet = L.join_table, L.meet_table
+    inc = L.incomparable
+    if pattern == "N5":
+        for x in range(n):
+            for y in range(n):
+                if inc(x, y):
+                    for z in range(n):
+                        if (
+                            z != y
+                            and L.leq[y, z]
+                            and inc(x, z)
+                            and join[x, y] == join[x, z]
+                            and meet[x, y] == meet[x, z]
+                        ):
+                            bot, top = int(meet[x, y]), int(join[x, y])
+                            return {0: bot, 1: y, 2: x, 3: z, 4: top}
+        return None
+    for x in range(n):
+        for y in range(x + 1, n):
+            if inc(x, y):
+                for z in range(y + 1, n):
+                    if (
+                        inc(x, z)
+                        and inc(y, z)
+                        and join[x, y] == join[x, z] == join[y, z]
+                        and meet[x, y] == meet[x, z] == meet[y, z]
+                    ):
+                        bot, top = int(meet[x, y]), int(join[x, y])
+                        return {0: bot, 1: x, 2: y, 3: z, 4: top}
+    return None
 
 
 def oracle_lattice_census(n, prune_meets=None):

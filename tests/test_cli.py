@@ -144,6 +144,45 @@ def test_verify_gj_verb(capsys):
     assert payload["checked"] == 25
 
 
+def test_verify_gj_counts_disagreements(monkeypatch, capsys):
+    import latkit.cli
+    from latkit.errors import TheoremDisagreement
+
+    assert run(["verify", "gj", "--max-n", "6"]) == 0
+    assert capsys.readouterr().out == '{"checked":25,"max_n":6,"pass":true}\n'
+    calls = []
+    original = latkit.cli.check_theorem
+
+    def flaky(L):
+        calls.append(L)
+        if len(calls) == 7:
+            raise TheoremDisagreement("sides differ")
+        return original(L)
+
+    monkeypatch.setattr(latkit.cli, "check_theorem", flaky)
+    assert run(["verify", "gj", "--max-n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{"checked":25,"max_n":6,"pass":false}\n'
+    assert captured.err.count("disagreement") == 1 and "lattice 6" in captured.err
+    assert len(calls) == 25  # the stream runs on past the disagreement
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--max-n", "4"],
+        ["scan", "conjecture1", "--max-n", "5"],
+        ["verify", "gj", "--max-n", "4"],
+        ["verify", "corpus", "--max-n", "4"],
+    ],
+)
+def test_json_flag_accepted_everywhere(argv, capsys):
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_render_matches_covers(tmp_path, capsys):
     path = tmp_path / "m3.json"
     save_lattice(m3(), path)

@@ -277,6 +277,19 @@ def test_iso_identity_and_relabel():
             assert L.le(x, y) == R.le(f[x], f[y])
 
 
+def test_relabel_renames_element_i_to_perm_i():
+    L = FiniteLattice.from_covers(5, n5().covers, names=list("bpqrt"))
+    perm = [3, 0, 4, 2, 1]
+    R = L.relabel(perm)
+    for x in range(5):
+        assert R.names[perm[x]] == L.names[x]
+        for y in range(5):
+            assert R.le(perm[x], perm[y]) == L.le(x, y)
+            assert R.join(perm[x], perm[y]) == perm[L.join(x, y)]
+    with pytest.raises(ValueError):
+        L.relabel([0, 0, 1, 2, 3])
+
+
 def test_iso_lex_least():
     L = m3()
     R = L.relabel([4, 2, 3, 1, 0])

@@ -146,7 +146,7 @@ def test_verify_corpus_prop_width2_sentinel(monkeypatch):
 
     monkeypatch.setattr(latkit.classifier, "constructive_iso_2xc", lambda L: None)
     with pytest.raises(CounterexampleFound) as info:
-        verify_corpus(max_n=6, census_max=6)
+        verify_corpus(max_n=6)
     assert info.value.witness.n == 4  # 2 x C_2 is the first instance
 
 
@@ -158,7 +158,7 @@ def test_verify_corpus_counts_m3n5_disagreements(monkeypatch):
     fake = latkit.properties.PropertyReport("modular", False, (0, 0, 0))
     monkeypatch.setattr(latkit.properties, "is_modular", lambda L: fake)
     expected = sum(1 for L in iter_lattices(5) if latkit.properties.find_forbidden(L, "N5") is None)
-    report = verify_corpus(max_n=5, census_max=5)
+    report = verify_corpus(max_n=5)
     assert report["m3n5"] == {"max_n": 5, "disagreements": expected, "pass": False}
     assert expected > 0 and not report["pass"]
 
@@ -215,7 +215,7 @@ def test_verify_corpus_builds_each_lattice_once(monkeypatch):
 
 
 def test_verify_corpus_small():
-    report = verify_corpus(max_n=6, census_max=6)
+    report = verify_corpus(max_n=6)
     assert report["pass"]
     assert report["counts"]["pass"]
     assert report["prop_width3"]["qualifying"] == 0  # cube needs n = 8

@@ -1,4 +1,9 @@
-from latkit import chain, dual, m3, n5, two_by_chain
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from latkit import FiniteLattice, chain, dual, m3, n5, two_by_chain
 from latkit.jonsson import (
     _layers,
     d_sequence,
@@ -54,6 +59,22 @@ def test_d_sequence_n5():
     assert ds.layers[1] == (0, 1, 2, 3, 4)
     assert ds.stabilized_at == 1
     assert ds.quadrant == "(=,=)"
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 16])
+def test_d_sequence_diamonds(k):
+    """M_k: the bottom is the only join prime and the top the only meet
+    prime, and the top's minimal covers are the pairs of atoms."""
+    M = FiniteLattice.from_covers(
+        k + 2, [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    )
+    payload = d_sequence(M).to_json_dict()
+    assert payload["layers"] == [[0]]
+    assert payload["dual_layers"] == [[k + 1]]
+    assert payload["quadrant"] == "(!=,!=)"
+    top_covers = min_join_covers(M, k + 1)
+    assert len(top_covers) == comb(k, 2)
+    assert top_covers == list(combinations(range(1, k + 1), 2))
 
 
 def test_layers_monotone_and_bounded(stream7):

@@ -1,6 +1,6 @@
-"""The bitset core and the array checkers against the slow oracles in
-oracles.py: same tables, covers, closures, verdicts, witnesses and
-error pairs."""
+"""The bitset core, the array checkers and the forbidden-sublattice
+scan against the slow oracles in oracles.py: same tables, covers,
+closures, verdicts, witnesses, embeddings and error pairs."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from latkit import FiniteLattice, boolean, chain, linear_sum, n5, product, two_b
 from latkit.core import dual, transitive_closure
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.properties import (
+    find_forbidden,
     is_distributive,
     is_modular,
     is_semidistributive,
@@ -82,6 +83,16 @@ def test_checkers_match_oracles(stream9, large_shapes):
     for L in stream9 + large_shapes:
         for fast, slow in CHECKERS:
             assert fast(L) == slow(L), L
+
+
+def test_forbidden_matches_oracle(stream9, large_shapes):
+    found = {"M3": 0, "N5": 0}
+    for L in stream9 + large_shapes:
+        for pattern in found:
+            emb = find_forbidden(L, pattern)
+            assert emb == oracles.find_forbidden(L, pattern), (L, pattern)
+            found[pattern] += emb is not None
+    assert all(found.values())
 
 
 def _natural_posets(max_n):
