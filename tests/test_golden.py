@@ -8,6 +8,10 @@ The files under tests/golden/ are the stdout of
     latkit verify corpus --max-n 9
     latkit check FILE --property P     # every P, then dseq FILE, on CORPUS
     latkit ladder split SPEC --radius R  # LADDER_RUNS, in order
+    latkit classify FILE                 # on CLASSIFY_CORPUS
+    latkit render FILE                   # on CORPUS
+    latkit free leq S T [--json]         # FREE_PAIRS, then
+    latkit free canon T [--json]         # FREE_TERMS
 
 and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10`` and
 of ``latkit scan conjecture1 --max-n 9 --full``.  A refactor of the
@@ -25,7 +29,9 @@ from latkit import (
     FiniteLattice,
     boolean,
     chain,
+    cube3,
     linear_sum,
+    m3,
     n5,
     product,
     save_lattice,
@@ -120,4 +126,68 @@ def test_golden_ladder_split(tmp_path, capsys):
             Path(path).write_text(json.dumps(spec), encoding="utf-8")
         out.append(_stdout(["ladder", "split", path, "--radius", str(radius)], capsys))
     expected = (GOLDEN / "ladder_split.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
+
+
+CLASSIFY_CORPUS = CORPUS + [
+    chain(5),
+    two_by_chain(3),
+    cube3(),
+    linear_sum(two_by_chain(3), cube3()),
+    linear_sum(chain(3), linear_sum(two_by_chain(2), chain(2))),
+    linear_sum(cube3(), two_by_chain(4)),
+    m3(),
+    product(chain(2), chain(3)),
+]
+
+FREE_PAIRS = [
+    ("x", "x+y"),
+    ("x*y", "x"),
+    ("x+y", "x*y"),
+    ("x*(y+z)", "x*y+x*z"),
+    ("x*y+x*z", "x*(y+z)"),
+    ("(x+y)*(x+z)", "x+y*z"),
+    ("x*(x+y)", "x"),
+    ("(a+b)*(c+d)", "a*c+b+d"),
+    ("x*y*z", "(x+y)*(y+z)*(x+z)"),
+]
+
+FREE_TERMS = [
+    "x",
+    "x+x*y",
+    "x*(x+y)",
+    "x*y+x*z+y*z",
+    "(x+y)*(x+z)*(y+z)",
+    "x+y*(x+z)",
+    "(a*b+c)*(a+b*c)+a*c",
+    "x*(y+x*(z+x*y))",
+]
+
+
+def test_golden_classify(tmp_path, capsys):
+    out = []
+    for i, L in enumerate(CLASSIFY_CORPUS):
+        path = str(tmp_path / f"lattice{i}.json")
+        save_lattice(L, path)
+        out.append(_stdout(["classify", path], capsys))
+    expected = (GOLDEN / "classify_corpus.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
+
+
+def test_golden_render(tmp_path, capsys):
+    out = []
+    for i, L in enumerate(CORPUS):
+        path = str(tmp_path / f"lattice{i}.json")
+        save_lattice(L, path)
+        out.append(_stdout(["render", path], capsys))
+    expected = (GOLDEN / "render_corpus.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
+
+
+def test_golden_free(capsys):
+    out = []
+    for flags in ([], ["--json"]):
+        out += [_stdout(["free", "leq", s, t, *flags], capsys) for s, t in FREE_PAIRS]
+        out += [_stdout(["free", "canon", t, *flags], capsys) for t in FREE_TERMS]
+    expected = (GOLDEN / "free_terms.txt").read_text(encoding="utf-8")
     assert "".join(out) == expected
