@@ -28,19 +28,10 @@ from .errors import (
 from .freeterm import canonical, format_term, free_leq, parse as parse_term
 from .jonsson import d_sequence
 from .ladder import decorate, ladder_split, window
-from .properties import check_property
+from .properties import CHECKERS, check_property
 from .subalgebra import gadget, gadget_census
 
-PROPERTIES = (
-    "modular",
-    "distributive",
-    "sd-join",
-    "sd-meet",
-    "sd",
-    "whitman",
-    "forbidden-m3",
-    "forbidden-n5",
-)
+PROPERTIES = tuple(CHECKERS)
 
 
 def _dump(payload):

@@ -65,6 +65,8 @@ class FiniteLattice:
         self.names = tuple(names) if names is not None else None
         if self.names is not None and len(self.names) != n:
             raise ValueError("names length must equal n")
+        if not leq.diagonal().all():
+            raise ValueError("order matrix must be reflexive")
         if not _validated:
             self._check_partial_order()
         if _tables is None:
@@ -97,8 +99,6 @@ class FiniteLattice:
 
     def _check_partial_order(self):
         leq = self.leq
-        if not leq.diagonal().all():
-            raise ValueError("order matrix must be reflexive")
         sym = leq & leq.T
         np.fill_diagonal(sym, False)
         if sym.any():
@@ -163,9 +163,6 @@ class FiniteLattice:
 
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
-
-    def meet_all(self, xs):
-        return reduce(self.meet, xs, self.top)
 
     def incomparable(self, x, y):
         return not (self.leq[x, y] or self.leq[y, x])
@@ -331,9 +328,6 @@ class FiniteLattice:
             if len(self.lower_covers[x]) >= 2 and len(self.upper_covers[x]) >= 2
         )
 
-    def irreducibles_and_dr(self):
-        return self.join_irreducibles(), self.meet_irreducibles(), self.doubly_reducibles()
-
 
 def transitive_closure(rel):
     """Reflexive-transitive closure; rejects cycles."""
@@ -346,60 +340,53 @@ def transitive_closure(rel):
 def _closure_masks(succ):
     """Up-set masks of the reflexive-transitive closure of a relation.
 
-    succ[v] lists the elements v relates to.  One depth-first pass finds
-    the strongly connected components (Tarjan); each is finished after
-    everything it reaches, so a singleton's mask is its own bit OR the
-    masks of its successors.  A larger component is a cycle, reported
-    by NotAPartialOrder as the least element on any cycle and the least
-    other element of its component.
+    succ[v] lists the elements v relates to.  Kahn's algorithm orders
+    the elements topologically, skipping self-loops; in reverse order an
+    element's mask is its own bit OR the masks of its successors.  Any
+    element left unordered lies on or above a cycle, reported by
+    NotAPartialOrder as the least element on a cycle and the least other
+    element of its strongly connected component.
     """
     n = len(succ)
+    indeg = [0] * n
+    for v, ws in enumerate(succ):
+        for w in ws:
+            indeg[w] += w != v
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:
+        for w in succ[v]:
+            if w != v:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+    if len(order) < n:
+        raise NotAPartialOrder(_cycle_pair(succ, [v for v in range(n) if indeg[v]]))
     up = [0] * n
-    index = [-1] * n  # discovery number; n once the component is done
-    low = [0] * n
-    stack, cycle, count = [], None, 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] < index[v]:
-                    continue
-                k = len(stack) - 1
-                while stack[k] != v:
-                    k -= 1
-                component = stack[k:]
-                del stack[k:]
-                for w in component:
-                    index[w] = n
-                if len(component) > 1:
-                    pair = tuple(sorted(component)[:2])
-                    cycle = min(cycle or pair, pair)
-                    continue
-                mask = 1 << v
-                for w in succ[v]:
-                    mask |= up[w]
-                up[v] = mask
-    if cycle:
-        raise NotAPartialOrder(list(cycle))
+    for v in reversed(order):
+        mask = 1 << v
+        for w in succ[v]:
+            mask |= up[w]
+        up[v] = mask
     return up
+
+
+def _cycle_pair(succ, left):
+    """Least (v, w), v != w, with each reachable from the other, among
+    the elements left unordered; everything they reach is left too."""
+    reach = dict.fromkeys(left, 0)  # elements reachable in one or more steps
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(left):
+            mask = reach[v]
+            for w in succ[v]:
+                if w != v:
+                    mask |= reach[w] | 1 << w
+            if mask != reach[v]:
+                reach[v], changed = mask, True
+    v = next(v for v in left if reach[v] >> v & 1)
+    w = next(w for w in left if w != v and reach[v] >> w & 1 and reach[w] >> v & 1)
+    return [v, w]
 
 
 def _linear_extension(leq):

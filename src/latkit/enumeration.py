@@ -58,45 +58,38 @@ def poset_key(dwn):
 
 
 def _delete_element(dwn, e):
-    remap = [i if i < e else i - 1 for i in range(len(dwn))]
-    out = []
-    for j, mask in enumerate(dwn):
-        if j == e:
-            continue
-        out.append(sum(1 << remap[i] for i in _bits(mask) if i != e))
-    return tuple(out)
+    low = (1 << e) - 1  # bits below e stay, bits above it move down one
+    return tuple(m & low | m >> (e + 1) << e for j, m in enumerate(dwn) if j != e)
 
 
 def _valid_ideals(dwn):
     """Ideals D usable as the strict down-set of a new maximal element
-    so that the extension stays a meet-semilattice."""
-    k = len(dwn)
+    so that the extension stays a meet-semilattice.
+
+    The down-sets grow by extension in index order: natural labelling
+    puts element i's strict down-set below i, so it is decided when i
+    is reached.
+    """
+    downsets = [0]
+    for i, mask in enumerate(dwn):
+        below = mask ^ 1 << i
+        downsets += [D | 1 << i for D in downsets if D & below == below]
     out = []
-    for D in range(1 << k):
-        ok = True
-        for i in _bits(D):
-            if dwn[i] & ~D:
-                ok = False  # not down-closed
-                break
-        if not ok:
-            continue
-        for x in range(k):
+    for D in sorted(downsets):
+        for x in range(len(dwn)):
             if (D >> x) & 1:
                 continue
             B = D & dwn[x]
             if B == 0:
-                ok = False  # no common lower bound for the new pair
-                break
-            hb = B.bit_length() - 1
-            if B & ~dwn[hb]:
-                ok = False  # lower bounds lack a greatest element
-                break
-        if ok and (D or k == 0):
+                break  # no common lower bound for the new pair
+            if B & ~dwn[B.bit_length() - 1]:
+                break  # lower bounds lack a greatest element
+        else:
             out.append(D)
     return out
 
 
-_SEMILATTICE_LEVELS = {1: [(1,)]}
+_SEMILATTICE_LEVELS = {0: [()]}
 
 
 def _semilattices(k):
@@ -124,10 +117,10 @@ def _semilattices(k):
     return _SEMILATTICE_LEVELS[k]
 
 
-def _lattice_from_dwn(dwn, add_top):
+def _lattice_from_dwn(dwn):
     """The lattice whose element j has down-set mask dwn[j], plus a top
-    whose down-set is everything when add_top is set."""
-    masks = list(dwn) + ([(1 << (len(dwn) + 1)) - 1] if add_top else [])
+    whose down-set is everything."""
+    masks = list(dwn) + [(1 << (len(dwn) + 1)) - 1]
     return FiniteLattice(np.ascontiguousarray(_leq_of(masks).T), _validated=True)
 
 
@@ -136,9 +129,7 @@ def all_lattices(n, cap=DEFAULT_ENUM_CAP):
     ordered by canonical key of the top-removed semilattice."""
     if not 1 <= n <= cap:
         raise SizeCapExceeded(f"n={n} outside 1..{cap}")
-    if n == 1:
-        return [_lattice_from_dwn((1,), add_top=False)]
-    return [_lattice_from_dwn(s, add_top=True) for s in _semilattices(n - 1)]
+    return [_lattice_from_dwn(s) for s in _semilattices(n - 1)]
 
 
 def iter_lattices(max_n, cap=DEFAULT_ENUM_CAP):

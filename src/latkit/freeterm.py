@@ -22,12 +22,21 @@ from functools import lru_cache
 from .errors import TermSyntaxError, UnboundGenerator
 
 
+# Parentheses nest at most this deep: parse, free_leq and canonical
+# recurse on the Python stack and stay well inside its default limit.
+# A level of parentheses adds at most a join and a meet, so no parsed
+# tree is deeper than MAX_NODE_DEPTH, and no built tree may be.
+MAX_TERM_DEPTH = 40
+MAX_NODE_DEPTH = 2 * (MAX_TERM_DEPTH + 1)
+
+
 class Term:
     __slots__ = ()
 
 
 class Gen(Term):
     __slots__ = ("name", "_hash")
+    depth = 0
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
@@ -47,19 +56,26 @@ class Gen(Term):
 
 
 class _Compound(Term):
-    __slots__ = ("args", "_hash")
+    __slots__ = ("args", "_hash", "depth")
     _tag = ""
 
     def __init__(self, args):
         args = tuple(args)
         if len(args) < 2:
             raise ValueError(f"{self._tag} node needs >= 2 children")
-        flat = []
+        kind, flat, depth = type(self), [], 1
         for arg in args:
-            if isinstance(arg, type(self)):
+            if isinstance(arg, kind):
                 flat.extend(arg.args)
+                if arg.depth > depth:
+                    depth = arg.depth
             else:
                 flat.append(arg)
+                if arg.depth >= depth:
+                    depth = arg.depth + 1
+        if depth > MAX_NODE_DEPTH:
+            raise ValueError(f"term nests deeper than {MAX_NODE_DEPTH}")
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "args", tuple(flat))
         object.__setattr__(self, "_hash", hash((self._tag, self.args)))
 
@@ -113,11 +129,6 @@ def _tokenize(text):
         pos = match.end()
     out.append((None, len(text)))
     return out
-
-
-# Parentheses nest at most this deep: parse, free_leq and canonical
-# recurse on the Python stack and stay well inside its default limit.
-MAX_TERM_DEPTH = 40
 
 
 def parse(text):

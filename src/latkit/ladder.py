@@ -49,8 +49,6 @@ from .subalgebra import generate_sublattice
 class Decoration:
     ident: str
     element: int
-    kind: str
-    attach: tuple  # JSON-able attachment data
 
 
 class LadderWindow:
@@ -101,7 +99,9 @@ def window(k):
 
 def _expand_case(item, counter):
     """Case shorthands expand to between-insertions with cross edges."""
-    case, at = item["case"], item["at"]
+    case, at = item["case"], item.get("at")
+    if type(at) is not int:
+        raise BadAttachment(f"case insert needs an integer 'at': {item!r}")
     tag = item.get("id", f"d{counter}")
     low = [[0, at], [0, at + 1]]
     high = [[1, at], [1, at + 1]]
@@ -122,12 +122,14 @@ def _expand_case(item, counter):
 
 
 def _normalize_spec(spec, start=0):
-    if isinstance(spec, dict):
-        items = spec.get("insert", [])
-    else:
-        items = list(spec)
+    """Insert items of a spec: a list of them, or {"insert": [...]}."""
+    items = spec.get("insert", []) if isinstance(spec, dict) else spec
+    if not isinstance(items, (list, tuple)):
+        raise BadAttachment(f"spec must list insert items: {spec!r}")
     out = []
     for counter, item in enumerate(items, start=start):
+        if not isinstance(item, dict):
+            raise BadAttachment(f"insert item must be an object: {item!r}")
         if "case" in item:
             out.extend(_expand_case(item, counter))
         elif "between" in item:
@@ -137,7 +139,14 @@ def _normalize_spec(spec, start=0):
             }
             for extra in ("gt", "lt"):
                 if item.get(extra):
-                    entry[extra] = list(item[extra])
+                    entry[extra] = item[extra]
+            refs = [entry["between"], entry.get("gt", ()), entry.get("lt", ())]
+            if not (
+                isinstance(entry["id"], str)
+                and all(isinstance(r, (list, tuple)) for r in refs)
+                and len(entry["between"]) == 2
+            ):
+                raise BadAttachment(f"malformed insert item: {item!r}")
             out.append(entry)
         else:
             raise BadAttachment(f"insert item needs 'between' or 'case': {item!r}")
@@ -171,12 +180,9 @@ def decorate(W, spec):
             return ident_to_elem[anchor]
         try:
             rail, index = anchor
-        except (TypeError, ValueError):
-            raise BadAttachment(f"anchor must be [rail, index] or an id: {anchor!r}")
-        key = (rail, index)
-        if key not in W.rail_elem:
-            raise BadAttachment(f"no rail element at {key}")
-        return W.rail_elem[key]
+            return W.rail_elem[(rail, index)]
+        except (TypeError, ValueError, KeyError):
+            raise BadAttachment(f"anchor must be [rail, index] in the window or an id: {anchor!r}")
 
     rel = np.eye(total, dtype=bool)
     rel[:n_old, :n_old] = base.leq
@@ -194,23 +200,11 @@ def decorate(W, spec):
         for ref in item.get("lt", []):
             rel[elem, resolve(ref)] = True
         ident_to_elem[item["id"]] = elem
-        attach = {"between": [list(a) if not isinstance(a, str) else a for a in item["between"]]}
-        for extra in ("gt", "lt"):
-            if item.get(extra):
-                attach[extra] = list(item[extra])
-        decorations.append(
-            Decoration(
-                ident=item["id"],
-                element=elem,
-                kind="between",
-                attach=tuple(sorted(attach.items(), key=lambda kv: kv[0])),
-            )
-        )
+        decorations.append(Decoration(ident=item["id"], element=elem))
     closed = transitive_closure(rel)
     names = [base.name_of(x) for x in range(n_old)] + [e["id"] for e in items]
     lattice = FiniteLattice(closed, names=names, _validated=True)
-    coord = {e: rc for e, rc in W.coord.items()}
-    return LadderWindow(W.radius, lattice, coord, decorations, tuple(W.spec) + tuple(items))
+    return LadderWindow(W.radius, lattice, W.coord, decorations, tuple(W.spec) + tuple(items))
 
 
 # -- spanning covers ----------------------------------------------------
@@ -221,22 +215,18 @@ def spanning_candidate(W, a, b):
 
     For a LadderWindow: true iff some boundary-column element above a is
     incomparable to b and some boundary element below b is incomparable
-    to a (chains reaching those elements always exist).  For a bare
-    lattice the endpoints must be maximal (resp. minimal) in the whole
-    lattice, which the top and bottom make impossible, so the verdict is
-    false: finite lattices bound every chain by elements comparable to
-    everything.
+    to a (chains reaching those elements always exist).  A bare lattice
+    gives false: its top and bottom bound every chain and are comparable
+    to everything.
     """
     L = W.lattice if isinstance(W, LadderWindow) else W
     if (a, b) not in set(L.covers):
         raise NotACover(f"{a} is not covered by {b}")
-    if isinstance(W, LadderWindow):
-        k = W.radius
-        up_targets = [W.rail(i, k) for i in range(2)]
-        down_targets = [W.rail(i, -k) for i in range(2)]
-    else:
-        up_targets = [x for x in range(L.n) if not L.upper_covers[x]]
-        down_targets = [x for x in range(L.n) if not L.lower_covers[x]]
+    if not isinstance(W, LadderWindow):
+        return False
+    k = W.radius
+    up_targets = [W.rail(i, k) for i in range(2)]
+    down_targets = [W.rail(i, -k) for i in range(2)]
     up_ok = any(
         L.le(a, t) and t != a and L.incomparable(t, b) for t in up_targets
     )
@@ -468,7 +458,7 @@ def _band_sizes(W, ladder):
     return out
 
 
-def ladder_split(W, ladder=None, a=None, b=None, stability_delta=2):
+def ladder_split(W, a=None, b=None):
     """Partition a decorated window around a spanning cover (by default
     the central one).
 
@@ -476,8 +466,7 @@ def ladder_split(W, ladder=None, a=None, b=None, stability_delta=2):
     semidistributive law are rejected with SplitObstruction, as are
     inputs where the partition cannot be completed.  Property (1) is
     checked exhaustively; property (2) compares each decoration's band
-    H_x \\ H against the same decoration in a window wider by
-    stability_delta.
+    H_x \\ H against the same decoration in a window wider by 2.
     """
     L = W.lattice
     w_report = whitman_w(L)
@@ -493,9 +482,8 @@ def ladder_split(W, ladder=None, a=None, b=None, stability_delta=2):
         b = W.rail(1, 0)
     if not spanning_candidate(W, a, b):
         raise SplitObstruction("no-spanning-cover", (a, b))
-    if ladder is None:
-        up, down = natural_chains(W, a, b)
-        ladder = extract_ladder(W, a, b, up, down)
+    up, down = natural_chains(W, a, b)
+    ladder = extract_ladder(W, a, b, up, down)
 
     hits = prime_interval_exclusion_scan(W, ladder)
     if hits:
@@ -517,8 +505,8 @@ def ladder_split(W, ladder=None, a=None, b=None, stability_delta=2):
     bands = _band_sizes(W, ladder)
     wider_bands = {}
     ca, cb = W.coord.get(a), W.coord.get(b)
-    if W.decorations and stability_delta and ca is not None and cb is not None:
-        wider = decorate(window(W.radius + stability_delta), list(W.spec))
+    if W.decorations and ca is not None and cb is not None:
+        wider = decorate(window(W.radius + 2), list(W.spec))
         wa, wb = wider.rail(*ca), wider.rail(*cb)
         wup, wdown = natural_chains(wider, wa, wb)
         wider_ladder = extract_ladder(wider, wa, wb, wup, wdown)
@@ -545,9 +533,6 @@ def ladder_split(W, ladder=None, a=None, b=None, stability_delta=2):
 class ExtendCaseReport:
     case: int
     generated: tuple
-
-    def to_json_dict(self):
-        return {"case": self.case, "generated": list(self.generated)}
 
 
 def extend_case(W, a, c, b_attach):

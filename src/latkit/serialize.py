@@ -26,9 +26,13 @@ def from_json_dict(payload):
     try:
         n = int(payload["n"])
         covers = [(int(lo), int(hi)) for lo, hi in payload["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad lattice JSON: {exc}") from exc
     names = payload.get("names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(x, str) for x in names)
+    ):
+        raise ValueError("names must be a list of strings")
     return FiniteLattice.from_covers(n, covers, names=names)
 
 

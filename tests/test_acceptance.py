@@ -340,7 +340,8 @@ def test_criterion_8_ladder_corpus():
         assert list(ladder.down_selected) == _selection_oracle(
             L, down, lambda x: L.meet(x, a)
         )
-        rep = ladder_split(W, ladder)
+        rep = ladder_split(W)
+        assert rep.ladder == ladder
         for part in (rep.side_a, rep.side_b):
             members = set(part)
             for x in members:

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latkit import chain, cube3, linear_sum, m3, n5, save_lattice, two_by_chain
 from latkit.cli import run
@@ -29,6 +31,11 @@ def test_check_bad_file_exit_two(tmp_path, capsys):
     path.write_text("not json at all")
     assert run(["check", str(path), "--property", "modular"]) == 2
     assert run(["check", str(tmp_path / "missing.json"), "--property", "sd"]) == 2
+    for names in ("abc", [1, 2, 3], ["a", "b"]):
+        path.write_text(json.dumps({"n": 3, "covers": [[0, 1], [1, 2]], "names": names}))
+        assert run(["check", str(path), "--property", "modular"]) == 2, names
+    path.write_text('{"n": 1e400, "covers": []}')  # n reads as infinity
+    assert run(["check", str(path), "--property", "modular"]) == 2
 
 
 def test_check_unknown_property_exit_two(n5_file):
@@ -234,6 +241,95 @@ def test_ladder_bad_inputs(tmp_path):
     spec.write_text("{ not json")
     assert run(["ladder", "split", str(spec)]) == 2
     assert run(["ladder", "split", "none", "--radius", "0"]) == 2
+    for payload in (
+        {"insert": [{"case": 2}]},
+        [1, 2],
+        {"insert": 3},
+        {"insert": [{"case": 1, "at": [0]}]},
+        {"insert": [{"between": 5}]},
+        {"insert": [{"between": [[0, 0]]}]},
+        {"insert": [{"between": [[0, 0], [0, 1]], "id": 7}]},
+        {"insert": [{"between": [[0, 0], [0, 1]], "gt": 1}]},
+        {"insert": [{"between": [[0, [0]], [0, 1]]}]},
+    ):
+        spec.write_text(json.dumps(payload))
+        assert run(["ladder", "split", str(spec)]) == 2, payload
+
+
+# -- fuzzing the exit-code contract ------------------------------------------
+
+_SCALAR = st.none() | st.booleans() | st.integers(-2, 9) | st.text("abn01", max_size=3)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "covers", "names", "insert", "case", "at", "between", "id", "gt", "lt"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+_PAIR = st.lists(st.integers(-1, 7), min_size=2, max_size=2)
+_LATTICE = st.fixed_dictionaries(
+    {"n": st.integers(0, 7), "covers": st.lists(_PAIR, max_size=10)},
+    optional={"names": st.lists(st.text("ab", max_size=2), max_size=8)},
+)
+# a bottom 0 and a top n - 1 around random pairs i < j: often a lattice
+_BOUNDED = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6).map(
+        lambda pairs: {
+            "n": n,
+            "covers": [[0, i] for i in range(1, n)]
+            + [[i, n - 1] for i in range(n - 1)]
+            + [[i, j] for i, j in pairs if i < j < n - 1],
+        }
+    )
+)
+_ANCHOR = st.lists(st.integers(-3, 3), min_size=2, max_size=2) | st.sampled_from(["d0", "d1", "s"])
+_INSERT = st.fixed_dictionaries(
+    {"case": st.integers(0, 4), "at": st.integers(-3, 3)}
+) | st.fixed_dictionaries(
+    {"between": st.lists(_ANCHOR, min_size=2, max_size=2)},
+    optional={"id": st.sampled_from(["s", "t"]), "gt": st.lists(_ANCHOR, max_size=2)},
+)
+_SPEC = st.fixed_dictionaries({"insert": st.lists(_INSERT, max_size=3)}) | st.lists(_INSERT, max_size=3)
+_TERM = (
+    st.text("xy+*() ", max_size=20)
+    | st.integers(0, 44).map(lambda d: "(" * d + "x+y*z" + ")" * d)
+    | st.sampled_from(["x", "x*(y+z)", "(x+y)*(x+z)", "x+y*(x+z)"])
+)
+# (file payload, argv with FILE standing for the file it is written to)
+_RUN = st.one_of(
+    st.tuples(
+        _BOUNDED | _LATTICE | _JSON,
+        st.sampled_from(
+            [["check", "FILE", "--property", p] for p in ("modular", "sd", "whitman", "forbidden-n5")]
+            + [["classify", "FILE"], ["dseq", "FILE"], ["render", "FILE"], ["gadget", "FILE", "0", "1", "2"]]
+        ),
+    ),
+    st.tuples(
+        _SPEC | _JSON,
+        st.integers(0, 3).map(lambda r: ["ladder", "split", "FILE", "--radius", str(r)]),
+    ),
+    st.tuples(st.none(), st.tuples(_TERM, _TERM).map(lambda t: ["free", "leq", *t])),
+    st.tuples(
+        st.none(),
+        st.tuples(_TERM, st.sampled_from([[], ["--json"]])).map(lambda t: ["free", "canon", t[0], *t[1]]),
+    ),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_RUN)
+def test_cli_exit_codes_on_generated_input(tmp_path, case):
+    payload, argv = case
+    path = tmp_path / "input.json"  # rewritten for every example
+    path.write_text(json.dumps(payload))
+    assert run([str(path) if arg == "FILE" else arg for arg in argv]) in (0, 2)
 
 
 def _nested(depth, step):

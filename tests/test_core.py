@@ -99,6 +99,12 @@ def test_from_covers_out_of_range():
         FiniteLattice.from_covers(3, [(0, 5)])
 
 
+def test_validated_construction_rejects_a_non_reflexive_matrix():
+    # covers never ends when an element is missing from its own up-set
+    with pytest.raises(ValueError, match="reflexive"):
+        FiniteLattice([[1, 1, 1], [0, 1, 1], [0, 0, 0]], _validated=True)
+
+
 def test_redundant_covers_are_reduced():
     L = FiniteLattice.from_covers(3, [(0, 1), (1, 2), (0, 2)])
     assert sorted(L.covers) == [(0, 1), (1, 2)]
@@ -255,7 +261,7 @@ def test_dr_matches_definition(stream7):
 
 def test_irreducibles_cover_counts(stream6):
     for L in stream6:
-        ji, mi, dr = L.irreducibles_and_dr()
+        ji, mi = L.join_irreducibles(), L.meet_irreducibles()
         for x in ji:
             assert len(L.lower_covers[x]) == 1
         for x in mi:

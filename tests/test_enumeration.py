@@ -205,9 +205,9 @@ def test_verify_corpus_builds_each_lattice_once(monkeypatch):
     built = []
     original = latkit.enumeration._lattice_from_dwn
 
-    def counting(dwn, add_top):
-        built.append((dwn, add_top))
-        return original(dwn, add_top)
+    def counting(dwn):
+        built.append(dwn)
+        return original(dwn)
 
     monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", counting)
     assert verify_corpus(max_n=9)["pass"]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latkit import m3
+from latkit import boolean, m3
 from latkit.enumeration import all_lattices
 from latkit.errors import TermSyntaxError, UnboundGenerator
 from latkit.freeterm import (
@@ -230,3 +230,26 @@ def test_lattice_laws_up_to_equivalence():
         t = random_term(rng, gens, 3)
         assert canonical(Meet([Join([s, t]), s])) == canonical(s)
         assert canonical(Join([Meet([s, t]), s])) == canonical(s)
+
+
+def test_built_terms_nest_no_deeper_than_parse_allows():
+    text = "a+b*c"
+    for _ in range(MAX_TERM_DEPTH):
+        text = f"a+b*({text})"  # a join and a meet per pair of parentheses
+    deepest = parse(text)
+    other = parse(text.replace("c", "d"))
+    assert free_leq(deepest, deepest) and not free_leq(deepest, other)
+    canon = canonical(deepest)
+    assert free_eq(canon, deepest)
+    L = boolean(3)
+    env = {"a": 1, "b": 2, "c": 4}
+    assert eval_term(deepest, L, env) == eval_term(canon, L, env)
+    with pytest.raises(ValueError, match="nests deeper"):
+        Meet([Gen("e"), deepest])
+    with pytest.raises(ValueError, match="nests deeper"):
+        Meet([Gen("e"), Join([Gen("f"), deepest])])  # the join flattens
+    # an alternating tree 400 deep used to overflow the stack in free_leq
+    with pytest.raises(ValueError, match="nests deeper"):
+        tree = Gen("x")
+        for level in range(400):
+            tree = (Join if level % 2 else Meet)([tree, Gen(f"y{level}")])

@@ -14,8 +14,10 @@ from latkit import (
     product,
     two_by_chain,
 )
+from latkit import properties
+from latkit.errors import M3N5Disagreement
 from latkit.properties import (
-    CrossCheckReport,
+    PropertyReport,
     check_property,
     embedding_is_valid,
     find_forbidden,
@@ -165,14 +167,18 @@ def test_crosscheck_examples():
     assert not report.distributive
 
 
-def test_crosscheck_agree_is_computed():
+def test_crosscheck_agree_is_computed(monkeypatch):
+    # a report is returned only when the verdicts match the embeddings
     for L in (n5(), m3(), chain(3)):
-        assert m3n5_crosscheck(L).agree
-    emb = find_forbidden(n5(), "N5")
-    assert not CrossCheckReport(True, False, emb, None).agree
-    assert not CrossCheckReport(False, False, None, None).agree
-    assert not CrossCheckReport(True, True, None, find_forbidden(m3(), "M3")).agree
-    assert CrossCheckReport(True, False, None, find_forbidden(m3(), "M3")).agree
+        report = m3n5_crosscheck(L)
+        n5_free = report.n5_embedding is None
+        assert report.modular == n5_free
+        assert report.distributive == (n5_free and report.m3_embedding is None)
+    monkeypatch.setattr(
+        properties, "is_modular", lambda L: PropertyReport("modular", True)
+    )
+    with pytest.raises(M3N5Disagreement):
+        m3n5_crosscheck(n5())
 
 
 # -- oracle agreement over the enumerated corpus -------------------------
