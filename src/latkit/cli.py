@@ -38,13 +38,15 @@ def _dump(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _load(path):
+def _load(path, parse=serialize.from_json):
+    """parse(text of the file at path); json raises RecursionError on deep nesting."""
     try:
-        return serialize.load_lattice(path)
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
     except FileNotFoundError:
         raise LatkitError(f"no such file: {path}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise LatkitError(f"cannot read lattice from {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise LatkitError(f"cannot read {path}: {exc}")
 
 
 def _cmd_check(args):
@@ -114,9 +116,7 @@ def _cmd_free(args):
 def _cmd_ladder(args):
     W = window(args.radius)
     if args.file and args.file != "none":
-        with open(args.file, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-        W = decorate(W, spec)
+        W = decorate(W, _load(args.file, json.loads))
     report = ladder_split(W, a=args.a, b=args.b)
     _dump(report.to_json_dict())
     return 0

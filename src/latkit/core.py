@@ -452,9 +452,11 @@ def dual(L):
 
 def _neighbours(dwn):
     """Strict down-set and up-set lists of each element."""
-    n = len(dwn)
-    down = [[j for j in range(n) if j != i and dwn[i] >> j & 1] for i in range(n)]
-    up = [[j for j in range(n) if j != i and dwn[j] >> i & 1] for i in range(n)]
+    down = [[j for j in range(m.bit_length()) if m >> j & 1 and j != i] for i, m in enumerate(dwn)]
+    up = [[] for _ in dwn]
+    for i, lower in enumerate(down):
+        for j in lower:
+            up[j].append(i)
     return down, up
 
 
@@ -472,7 +474,7 @@ def refine(down, up, colors=None):
     cells = len(set(colors))
     while True:
         at = colors.__getitem__
-        sigs = [
+        sigs = colors if cells == len(colors) else [  # discrete: only rank it
             (c, tuple(sorted(map(at, d))), tuple(sorted(map(at, u))))
             for c, d, u in zip(colors, down, up)
         ]
@@ -484,7 +486,12 @@ def refine(down, up, colors=None):
 
 
 def canonical_form(dwn):
-    """Canonical (key, perm) of the poset given by down-set masks.
+    """Canonical (key, perm) of the poset given by down-set masks."""
+    return _canonical_search(dwn)[:2]
+
+
+def _canonical_search(dwn):
+    """Canonical (key, perm, autos) of the poset given by down-set masks.
 
     perm[a] is the element placed at canonical position a and key[a] is
     the mask of positions b with perm[b] <= perm[a]; equal keys mean
@@ -496,10 +503,12 @@ def canonical_form(dwn):
     when a known automorphism fixing the individualised prefix maps an
     explored sibling to it; and a subtree whose leaf is the image of the
     best leaf is left at once, as the image of an explored subtree.
+    Every pruned leaf is then an image of a visited one, so autos (dicts
+    element -> image) generate the whole automorphism group.
     """
     n = len(dwn)
     if n == 0:
-        return (), ()
+        return (), (), []
     down, up = _neighbours(dwn)
     closed = [lower + [i] for i, lower in enumerate(down)]
     best, autos = [], []  # best = [key, perm, path]
@@ -534,7 +543,15 @@ def canonical_form(dwn):
         return None
 
     search(refine(down, up), [])
-    return best[0], tuple(best[1])
+    return best[0], tuple(best[1]), autos
+
+
+def _orbit(e, autos):
+    """Orbit of element e under the group generated by autos."""
+    orbit, grown = set(), {e}
+    while grown != orbit:
+        orbit, grown = grown, grown | {g[x] for g in autos for x in grown}
+    return orbit
 
 
 def _dwn_of(leq):

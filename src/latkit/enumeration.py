@@ -5,12 +5,15 @@ Generation scheme: a finite lattice minus its top is a meet-semilattice
 and every finite meet-semilattice plus a new top is a lattice, so
 n-element lattices correspond to (n-1)-element meet-semilattices.
 Meet-semilattices are hereditary under deleting a maximal element,
-which admits orderly generation: extend by a new maximal element whose
-strict down-set is an ideal D such that D intersect down(x) has a
-greatest element for every x (the meet condition), and accept a child
-iff deleting its canonically chosen maximal element returns the parent
-(canonical-parent test), with per-parent dedup of child keys.  The
-tests check it against a slow poset-filter oracle.
+which admits canonical augmentation (McKay 1998): extend by a new
+maximal element whose strict down-set is an ideal D such that D
+intersect down(x) has a greatest element for every x (the meet
+condition), and accept a child iff its new element lies in the
+automorphism orbit of its first maximal element in canonical order.
+That order refines (#below, #above), so a new element with more
+elements below it than another maximal element is rejected before any
+canonical form.  Isomorphic children of one parent are deduplicated by
+key.  The tests check it against a slow poset-filter oracle.
 
 Internal representation: a poset with natural labeling (i < j in the
 order implies i < j as integers) stored as a tuple dwn with dwn[i] the
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteLattice, _leq_of, canonical_form, parallel_map
+from .core import FiniteLattice, _canonical_search, _leq_of, _orbit, parallel_map
 from .errors import (
     CounterexampleFound,
     M3N5Disagreement,
@@ -54,12 +57,7 @@ def _ups_of(dwn):
 
 def poset_key(dwn):
     """Canonical key of a poset given by down-set masks (core.canonical_form)."""
-    return canonical_form(dwn)[0]
-
-
-def _delete_element(dwn, e):
-    low = (1 << e) - 1  # bits below e stay, bits above it move down one
-    return tuple(m & low | m >> (e + 1) << e for j, m in enumerate(dwn) if j != e)
+    return _canonical_search(dwn)[0]
 
 
 def _valid_ideals(dwn):
@@ -79,11 +77,9 @@ def _valid_ideals(dwn):
         for x in range(len(dwn)):
             if (D >> x) & 1:
                 continue
-            B = D & dwn[x]
-            if B == 0:
-                break  # no common lower bound for the new pair
-            if B & ~dwn[B.bit_length() - 1]:
-                break  # lower bounds lack a greatest element
+            B = D & dwn[x]  # common lower bounds of x and the new element
+            if B == 0 or B & ~dwn[B.bit_length() - 1]:
+                break  # none, or no greatest one
         else:
             out.append(D)
     return out
@@ -98,20 +94,21 @@ def _semilattices(k):
         return _SEMILATTICE_LEVELS[k]
     collected = []
     for parent in _semilattices(k - 1):
-        pkey = poset_key(parent)
+        ups = _ups_of(parent)
+        below = {i: m.bit_count() - 1 for i, m in enumerate(parent) if ups[i] == 1 << i}
         local = {}
         for D in _valid_ideals(parent):
+            maximal = {i for i in below if not D >> i & 1}
+            if any(below[i] < D.bit_count() for i in maximal):
+                continue  # outside mstar's orbit (module docstring)
             child = parent + (D | (1 << (k - 1)),)
-            ckey, cperm = canonical_form(child)
+            ckey, cperm, autos = _canonical_search(child)
             if ckey in local:
                 continue
-            ups = _ups_of(child)
-            maximal = [i for i in range(k) if ups[i] == 1 << i]
-            pos = {e: a for a, e in enumerate(cperm)}
-            mstar = min(maximal, key=lambda e: pos[e])
-            if poset_key(_delete_element(child, mstar)) == pkey:
+            mstar = next(e for e in cperm if e in maximal or e == k - 1)
+            if k - 1 in _orbit(mstar, autos):
                 local[ckey] = child
-        collected.extend(sorted(local.items()))
+        collected.extend(local.items())
     collected.sort()
     _SEMILATTICE_LEVELS[k] = [child for _, child in collected]
     return _SEMILATTICE_LEVELS[k]

@@ -24,10 +24,11 @@ def from_json_dict(payload):
     if not isinstance(payload, dict):
         raise ValueError("lattice JSON must be an object")
     try:
-        n = int(payload["n"])
-        covers = [(int(lo), int(hi)) for lo, hi in payload["covers"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, covers = payload["n"], [(lo, hi) for lo, hi in payload["covers"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad lattice JSON: {exc}") from exc
+    if any(type(v) is not int for v in (n, *(v for pair in covers for v in pair))):
+        raise ValueError("bad lattice JSON: n and cover endpoints must be integers")
     names = payload.get("names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(x, str) for x in names)

@@ -163,17 +163,15 @@ def find_forbidden(L, pattern):
     return None
 
 
-def oracle_lattice_census(n, prune_meets=None):
-    """Poset-filter oracle: enumerate natural-labeled posets, keep the
-    lattices, dedupe by canonical key.  Returns (classes, labeled).
+def labeled_lattices(n, prune_meets=None):
+    """Every natural-labeled lattice on n elements, as a tuple of down-set
+    masks, by filtering natural-labeled posets.
 
     With prune_meets (default for n >= 8) branches that already lack a
     pairwise meet are cut early; the surviving leaves are the same.
     """
     if prune_meets is None:
         prune_meets = n >= 8
-    keys = set()
-    labeled = 0
     dwn = []
 
     def ideals(j):
@@ -218,18 +216,26 @@ def oracle_lattice_census(n, prune_meets=None):
         return True
 
     def rec(j):
-        nonlocal labeled
         if j == n:
             if is_lattice():
-                labeled += 1
-                keys.add(poset_key(tuple(dwn)))
+                yield tuple(dwn)
             return
         for D in ideals(j):
             dwn.append(D | (1 << j))
-            rec(j + 1)
+            yield from rec(j + 1)
             dwn.pop()
 
-    rec(0)
+    yield from rec(0)
+
+
+def oracle_lattice_census(n, prune_meets=None):
+    """Poset-filter oracle: the natural-labeled lattices deduped by
+    canonical key.  Returns (classes, labeled)."""
+    keys = set()
+    labeled = 0
+    for dwn in labeled_lattices(n, prune_meets):
+        labeled += 1
+        keys.add(poset_key(dwn))
     return len(keys), labeled
 
 

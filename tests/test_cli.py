@@ -256,6 +256,15 @@ def test_ladder_bad_inputs(tmp_path):
         assert run(["ladder", "split", str(spec)]) == 2, payload
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # json's decoder raises RecursionError
+    for argv in (["check", str(deep), "--property", "sd"], ["ladder", "split", str(deep)]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- fuzzing the exit-code contract ------------------------------------------
 
 _SCALAR = st.none() | st.booleans() | st.integers(-2, 9) | st.text("abn01", max_size=3)

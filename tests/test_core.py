@@ -19,8 +19,9 @@ from latkit import (
     product,
     two_by_chain,
 )
-from latkit.core import canonical_form, size_cap
+from latkit.core import _canonical_search, _orbit, canonical_form, size_cap
 from latkit.errors import NotALattice, NotAPartialOrder, SizeCapExceeded
+from oracles import labeled_lattices
 
 
 # -- independent oracles ------------------------------------------------
@@ -432,12 +433,58 @@ def test_canonical_form_on_a_refinement_stable_poset():
     key = canonical_form(dwn)[0]
     rng = random.Random(3)
     for _ in range(20):
-        perm = list(range(18))
-        rng.shuffle(perm)
-        moved = [0] * 18
-        for i, mask in enumerate(dwn):
-            moved[perm[i]] = sum(1 << perm[j] for j in range(18) if mask >> j & 1)
-        assert canonical_form(moved)[0] == key
+        assert canonical_form(_shuffled(dwn, rng))[0] == key
+
+
+def _shuffled(dwn, rng):
+    """The poset dwn with its elements renumbered at random."""
+    n = len(dwn)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [0] * n
+    for i, mask in enumerate(dwn):
+        moved[perm[i]] = sum(1 << perm[j] for j in range(n) if mask >> j & 1)
+    return tuple(moved)
+
+
+def _brute_automorphisms(dwn):
+    """Every permutation p with j <= i iff p[j] <= p[i], by exhaustive
+    backtracking over injective maps."""
+    n = len(dwn)
+    le = [[bool(dwn[i] >> j & 1) for i in range(n)] for j in range(n)]
+    found, image = [], []
+
+    def extend():
+        i = len(image)
+        if i == n:
+            found.append(list(image))
+            return
+        for v in range(n):
+            if v not in image and all(
+                le[j][i] == le[image[j]][v] and le[i][j] == le[v][image[j]]
+                for j in range(i)
+            ):
+                image.append(v)
+                extend()
+                image.pop()
+
+    extend()
+    return found
+
+
+def test_search_automorphisms_generate_the_whole_group():
+    # every natural-labeled lattice with n <= 7 and, minus its top, every
+    # meet-semilattice with k <= 6, built apart from the enumerator
+    lattices = [dwn for n in range(1, 8) for dwn in labeled_lattices(n)]
+    posets = lattices + [dwn[:-1] for dwn in lattices]
+    rng = random.Random(5)
+    for dwn in posets:
+        # the shuffled copy is mostly not numbered along a linear extension
+        for poset in (dwn, _shuffled(dwn, rng)):
+            autos = _canonical_search(poset)[2]
+            group = _brute_automorphisms(poset)
+            for e in range(len(poset)):
+                assert _orbit(e, autos) == {g[e] for g in group}, (poset, e)
 
 
 def test_is_isomorphic_returns_bool():

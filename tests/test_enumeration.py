@@ -85,6 +85,11 @@ def test_cap_enforced():
     assert len(all_lattices(10, cap=10)) == 5994
 
 
+@pytest.mark.slow
+def test_level_11_count():
+    assert len(all_lattices(11, cap=11)) == 37622  # OEIS A006966
+
+
 @pytest.mark.parametrize("n,count", [(1, 1), (4, 2), (6, 15), (7, 53)])
 def test_exact_level_sizes(n, count):
     assert len(all_lattices(n)) == count

@@ -36,6 +36,23 @@ def test_json_validation_errors():
         from_json(json.dumps({"n": 6, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]}))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 2.9, "covers": [[0.7, 1]]},  # int() would truncate to the 2-chain
+        {"n": 2.0, "covers": [[0, 1]]},
+        {"n": 2, "covers": [[0, 1.0]]},
+        {"n": True, "covers": []},  # a bool is an int subclass
+        {"n": 2, "covers": [[False, True]]},
+        {"n": "2", "covers": [[0, 1]]},
+        {"n": 2, "covers": [["0", 1]]},
+    ],
+)
+def test_json_rejects_non_integer_numbers(payload):
+    with pytest.raises(ValueError):
+        from_json_dict(payload)
+
+
 def test_json_emits_reduced_covers():
     L = FiniteLattice.from_covers(3, [(0, 1), (1, 2), (0, 2)])
     assert to_json_dict(L)["covers"] == [[0, 1], [1, 2]]
