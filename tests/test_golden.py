@@ -13,7 +13,8 @@ The files under tests/golden/ are the stdout of
     latkit free leq S T [--json]         # FREE_PAIRS, then
     latkit free canon T [--json]         # FREE_TERMS
 
-and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10`` and
+the free-term library output on seeded random pairs (free_random_terms.txt,
+see _free_random_lines), and the sha256 of the stdout of ``latkit enum --max-n 10 --cap 10`` and
 of ``latkit scan conjecture1 --max-n 9 --full``.  A refactor of the
 enumerator, of canonical labelling or of the verification driver must
 leave them unchanged: enumeration order, representatives, gadget iso
@@ -23,6 +24,7 @@ checkers' witnesses, the D-sequence layers and the ladder coordinates.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from latkit import (
@@ -38,6 +40,7 @@ from latkit import (
     two_by_chain,
 )
 from latkit.cli import PROPERTIES, run
+from latkit.freeterm import Join, Meet, canonical, format_term, free_leq, random_term
 from latkit.subalgebra import flp_nine
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -191,3 +194,28 @@ def test_golden_free(capsys):
         out += [_stdout(["free", "canon", t, *flags], capsys) for t in FREE_TERMS]
     expected = (GOLDEN / "free_terms.txt").read_text(encoding="utf-8")
     assert "".join(out) == expected
+
+
+def _free_random_lines(pairs=300):
+    """One line per seeded random_term pair (s, t): both terms, the two
+    free_leq verdicts, and both canonical forms.  Every third t is s + u
+    and every third s * u, so both verdicts are often true."""
+    rng = random.Random(2015)
+    gens = ["w", "x", "y", "z"]
+    lines = []
+    for i in range(pairs):
+        s = random_term(rng, gens, 4)
+        t = random_term(rng, gens, 4)
+        if i % 3 == 1:
+            t = Join([s, t])
+        elif i % 3 == 2:
+            t = Meet([s, t])
+        verdicts = f"{free_leq(s, t):d}{free_leq(t, s):d}"
+        forms = (format_term(u) for u in (s, t, canonical(s), canonical(t)))
+        lines.append(" ".join([verdicts, *forms]) + "\n")
+    return lines
+
+
+def test_golden_free_random_terms():
+    expected = (GOLDEN / "free_random_terms.txt").read_text(encoding="utf-8")
+    assert "".join(_free_random_lines()) == expected
