@@ -12,8 +12,10 @@ wi -> wij whenever the component wij satisfies wij <= w, which keeps
 the value while shrinking the term; equivalent terms therefore reduce
 to identical trees.
 
-Grammar: term := factor ('+' factor)*; factor := atom ('*' atom)*;
-atom := ident | '(' term ')'.  Meet binds tighter than join.
+A term is a generator, the str of its name, or a Join or Meet of at
+least two terms.  Grammar: term := factor ('+' factor)*;
+factor := atom ('*' atom)*; atom := ident | '(' term ')'.  Meet binds
+tighter than join.
 """
 
 import re
@@ -30,32 +32,7 @@ MAX_TERM_DEPTH = 40
 MAX_NODE_DEPTH = 2 * (MAX_TERM_DEPTH + 1)
 
 
-class Term:
-    __slots__ = ()
-
-
-class Gen(Term):
-    __slots__ = ("name", "_hash")
-    depth = 0
-
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("gen", name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("terms are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Gen) and self.name == other.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Gen({self.name!r})"
-
-
-class _Compound(Term):
+class _Compound:
     __slots__ = ("args", "_hash", "depth")
     _tag = ""
 
@@ -71,7 +48,7 @@ class _Compound(Term):
                     depth = arg.depth
             else:
                 flat.append(arg)
-                if arg.depth >= depth:
+                if not isinstance(arg, str) and arg.depth >= depth:
                     depth = arg.depth + 1
         if depth > MAX_NODE_DEPTH:
             raise ValueError(f"term nests deeper than {MAX_NODE_DEPTH}")
@@ -102,31 +79,19 @@ class Meet(_Compound):
     _tag = "meet"
 
 
-def jn(*args):
-    args = tuple(args)
-    return args[0] if len(args) == 1 else Join(args)
-
-
-def mt(*args):
-    args = tuple(args)
-    return args[0] if len(args) == 1 else Meet(args)
-
-
 # -- parsing and formatting ------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[+*()])")
+# a token, or in the second group the first character that starts none
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[+*()])|(\S))")
 
 
 def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            if text[pos:].strip() == "":
-                break
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        out.append((match.group(1), match.start(1)))
-        pos = match.end()
+    out = []
+    for match in _TOKEN.finditer(text):
+        tok, bad = match.groups()
+        if bad is not None:
+            raise TermSyntaxError(f"unexpected character {bad!r}", match.start(2))
+        out.append((tok, match.start(1)))
     out.append((None, len(text)))
     return out
 
@@ -150,14 +115,14 @@ def parse(text):
         while peek() == "+":
             advance()
             parts.append(parse_factor())
-        return jn(*parts)
+        return parts[0] if len(parts) == 1 else Join(parts)
 
     def parse_factor():
         parts = [parse_atom()]
         while peek() == "*":
             advance()
             parts.append(parse_atom())
-        return mt(*parts)
+        return parts[0] if len(parts) == 1 else Meet(parts)
 
     def parse_atom():
         nonlocal depth
@@ -176,7 +141,7 @@ def parse(text):
             return inner
         if tok is None or tok in "+*)":
             raise TermSyntaxError(f"expected a term, got {tok!r}", pos)
-        return Gen(tok)
+        return tok
 
     result = parse_term()
     tok, pos = tokens[index]
@@ -186,11 +151,11 @@ def parse(text):
 
 
 def format_term(t):
-    if isinstance(t, Gen):
-        return t.name
+    if isinstance(t, str):
+        return t
     if isinstance(t, Meet):
         return "*".join(
-            part.name if isinstance(part, Gen) else f"({format_term(part)})"
+            part if isinstance(part, str) else f"({format_term(part)})"
             for part in t.args
         )
     return "+".join(format_term(part) for part in t.args)
@@ -202,15 +167,15 @@ def format_term(t):
 @lru_cache(maxsize=None)
 def free_leq(s, t):
     """Whether s <= t holds in the free lattice."""
-    if isinstance(s, Gen) and isinstance(t, Gen):
-        return s.name == t.name
+    if isinstance(s, str) and isinstance(t, str):
+        return s == t
     if isinstance(s, Join):
         return all(free_leq(si, t) for si in s.args)
     if isinstance(t, Meet):
         return all(free_leq(s, tj) for tj in t.args)
-    if isinstance(s, Gen):  # t is a join: generators are join prime
+    if isinstance(s, str):  # t is a join: generators are join prime
         return any(free_leq(s, tj) for tj in t.args)
-    if isinstance(t, Gen):  # s is a meet: dual
+    if isinstance(t, str):  # s is a meet: dual
         return any(free_leq(si, t) for si in s.args)
     # s is a meet, t is a join: Whitman's condition
     return any(free_leq(si, t) for si in s.args) or any(
@@ -225,15 +190,15 @@ def free_eq(s, t):
 def term_key(t):
     """Fixed total order: generators by name, meets before joins, then
     lexicographically on children.  Stable under adding generators."""
-    if isinstance(t, Gen):
-        return (0, t.name)
+    if isinstance(t, str):
+        return (0, t)
     tag = 1 if isinstance(t, Meet) else 2
     return (tag, tuple(term_key(c) for c in t.args))
 
 
 def canonical(t):
     """Unique canonical representative of the equivalence class of t."""
-    if isinstance(t, Gen):
+    if isinstance(t, str):
         return t
     node, other = (Join, Meet) if isinstance(t, Join) else (Meet, Join)
     below = free_leq if node is Join else (lambda a, b: free_leq(b, a))
@@ -244,11 +209,7 @@ def canonical(t):
     changed = True
     while changed:
         changed = False
-        seen = []
-        for k in kids:  # drop duplicates, keep first occurrence
-            if k not in seen:
-                seen.append(k)
-        kids = seen
+        kids = list(dict.fromkeys(kids))  # drop duplicates, keep first occurrence
         if len(kids) > 1:
             whole = node(kids)
             for pos, k in enumerate(kids):
@@ -273,8 +234,8 @@ def canonical(t):
 
 
 def generators(t):
-    if isinstance(t, Gen):
-        return {t.name}
+    if isinstance(t, str):
+        return {t}
     out = set()
     for child in t.args:
         out |= generators(child)
@@ -284,11 +245,11 @@ def generators(t):
 def eval_term(t, L, assignment):
     """Evaluate in a finite lattice: the unique homomorphism extending
     the generator assignment."""
-    if isinstance(t, Gen):
+    if isinstance(t, str):
         try:
-            return assignment[t.name]
+            return assignment[t]
         except KeyError:
-            raise UnboundGenerator(t.name) from None
+            raise UnboundGenerator(t) from None
     values = [eval_term(c, L, assignment) for c in t.args]
     op = L.join if isinstance(t, Join) else L.meet
     result = values[0]
@@ -300,7 +261,7 @@ def eval_term(t, L, assignment):
 def random_term(rng, gens, depth):
     """Random term tree; used by the sampling tests."""
     if depth <= 0 or rng.random() < 0.3:
-        return Gen(rng.choice(gens))
+        return rng.choice(gens)
     node = Join if rng.random() < 0.5 else Meet
     width = rng.randint(2, 3)
     return node([random_term(rng, gens, depth - 1) for _ in range(width)])

@@ -112,6 +112,12 @@ def test_free_verbs(capsys):
     assert run(["free", "leq", "x*(", "x"]) == 2
 
 
+def test_free_syntax_error_names_the_character(capsys):
+    capsys.readouterr()
+    assert run(["free", "leq", "x + %", "x"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '%' (at position 4)\n"
+
+
 def test_ladder_verb(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"insert": [{"case": 1, "at": 0}]}))

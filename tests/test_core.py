@@ -19,7 +19,8 @@ from latkit import (
     product,
     two_by_chain,
 )
-from latkit.core import _canonical_search, _orbit, canonical_form, size_cap
+from latkit import core
+from latkit.core import _canonical_search, _orbit, canonical_form, parallel_map, size_cap
 from latkit.errors import NotALattice, NotAPartialOrder, SizeCapExceeded
 from oracles import labeled_lattices
 
@@ -104,6 +105,31 @@ def test_validated_construction_rejects_a_non_reflexive_matrix():
     # covers never ends when an element is missing from its own up-set
     with pytest.raises(ValueError, match="reflexive"):
         FiniteLattice([[1, 1, 1], [0, 1, 1], [0, 0, 0]], _validated=True)
+
+
+def test_constructor_rejects_a_two_cycle():
+    leq = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]  # 0 <= 2 and 2 <= 0
+    with pytest.raises(NotAPartialOrder) as info:
+        FiniteLattice(leq)
+    assert info.value.cycle == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [
+        [[1, 1, 0], [0, 1, 1], [0, 0, 1]],  # 0 <= 1 <= 2 but not 0 <= 2
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # a 3-cycle with no 2-cycle in it
+    ],
+)
+def test_constructor_rejects_a_non_transitive_matrix(leq):
+    with pytest.raises(ValueError, match="must be transitive"):
+        FiniteLattice(leq)
+
+
+def test_constructor_checks_the_size_cap(monkeypatch):
+    monkeypatch.setenv("LATKIT_MAX_N", "2")
+    with pytest.raises(SizeCapExceeded, match="3 elements exceeds cap 2"):
+        FiniteLattice([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
 
 
 def test_redundant_covers_are_reduced():
@@ -492,3 +518,33 @@ def test_is_isomorphic_returns_bool():
     assert is_isomorphic(cube3(), boolean(3)) is True
     assert is_isomorphic(m3(), n5()) is False
     assert is_isomorphic(chain(4), chain(5)) is False
+
+
+def test_parallel_map_caps_the_pool(monkeypatch):
+    # a forking pool starts every worker at the first submit, so the
+    # pool must not be larger than the items or the CPUs
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 4)
+    assert parallel_map(abs, [-1, -2, -3], 100_000, chunksize=1) == [1, 2, 3]
+    assert parallel_map(abs, list(range(-9, 0)), 100_000, chunksize=1) == list(range(9, 0, -1))
+    assert parallel_map(abs, list(range(-9, 0)), 2, chunksize=1) == list(range(9, 0, -1))
+    assert parallel_map(abs, [-1], 100_000, chunksize=1) == [1]  # no pool
+    assert parallel_map(abs, [], 100_000, chunksize=1) == []
+    assert sizes == [3, 4, 2]

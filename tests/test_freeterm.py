@@ -7,7 +7,6 @@ from latkit.enumeration import all_lattices
 from latkit.errors import TermSyntaxError, UnboundGenerator
 from latkit.freeterm import (
     MAX_TERM_DEPTH,
-    Gen,
     Join,
     Meet,
     canonical,
@@ -23,10 +22,10 @@ from latkit.freeterm import (
 
 
 def test_parse_examples():
-    assert parse("x*(y+z)") == Meet([Gen("x"), Join([Gen("y"), Gen("z")])])
-    assert parse("x+y+z") == Join([Gen("x"), Gen("y"), Gen("z")])
-    assert parse("x * y * z") == Meet([Gen("x"), Gen("y"), Gen("z")])
-    assert parse("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == Gen("x")
+    assert parse("x*(y+z)") == Meet(["x", Join(["y", "z"])])
+    assert parse("x+y+z") == Join(["x", "y", "z"])
+    assert parse("x * y * z") == Meet(["x", "y", "z"])
+    assert parse("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == "x"
 
 
 def test_parse_errors():
@@ -38,9 +37,13 @@ def test_parse_errors():
         parse("(x")
     with pytest.raises(TermSyntaxError):
         parse("x y")
-    with pytest.raises(TermSyntaxError) as info:
-        parse("x*$")
-    assert info.value.position == 2
+    # an unexpected character is named at its own position, not at the
+    # whitespace before it
+    for text, char, position in (("x*$", "$", 2), ("x $", "$", 2), ("x +  %y", "%", 5)):
+        with pytest.raises(TermSyntaxError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert f"unexpected character {char!r}" in str(info.value)
     with pytest.raises(TermSyntaxError) as info:
         parse("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
     assert info.value.position == MAX_TERM_DEPTH
@@ -245,11 +248,11 @@ def test_built_terms_nest_no_deeper_than_parse_allows():
     env = {"a": 1, "b": 2, "c": 4}
     assert eval_term(deepest, L, env) == eval_term(canon, L, env)
     with pytest.raises(ValueError, match="nests deeper"):
-        Meet([Gen("e"), deepest])
+        Meet(["e", deepest])
     with pytest.raises(ValueError, match="nests deeper"):
-        Meet([Gen("e"), Join([Gen("f"), deepest])])  # the join flattens
+        Meet(["e", Join(["f", deepest])])  # the join flattens
     # an alternating tree 400 deep used to overflow the stack in free_leq
     with pytest.raises(ValueError, match="nests deeper"):
-        tree = Gen("x")
+        tree = "x"
         for level in range(400):
-            tree = (Join if level % 2 else Meet)([tree, Gen(f"y{level}")])
+            tree = (Join if level % 2 else Meet)([tree, f"y{level}"])
