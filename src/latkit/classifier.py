@@ -21,7 +21,7 @@ from .errors import (
     TheoremDisagreement,
 )
 from .properties import is_distributive, is_modular
-from .subalgebra import admissible_triples, generate_sublattice
+from .subalgebra import generate_sublattice, iter_admissible_triples
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,10 @@ def constructive_iso_2xc(L):
         low = [L.bottom, mids[0]]
         high = [mids[1], L.top]
     else:
-        triples = admissible_triples(L)
-        if not triples:
+        triple = next(iter_admissible_triples(L), None)
+        if triple is None:
             raise NoGadget("no admissible triple in a lattice with > 4 elements")
-        a, b, c = triples[0]
+        a, b, c = triple
         seed = generate_sublattice(L, {a, b, c})
         if len(seed) != 6 or _rails(L, seed) is None:
             raise InvariantViolated("gadget is not 2 x 3")

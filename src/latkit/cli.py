@@ -2,7 +2,8 @@
 
 Exit codes: 0 = verdict computed (negative mathematical verdicts
 included), 1 = a verification run disagreed or a scan found a
-counterexample, 2 = invalid input.  Identical invocations produce
+counterexample, 2 = invalid input, 3 = internal error (a bug: one
+stderr line, no traceback).  Identical invocations produce
 byte-identical --json output.
 """
 
@@ -270,6 +271,10 @@ def run(argv):
     except (LatkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())  # one line, whatever exc holds
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -16,11 +16,37 @@ element is join prime: it lies below every member of every cover.
 D_{k+1} is the set of x whose every nontrivial join cover refines to a
 cover inside D_k; on a finite lattice this holds iff every minimal
 nontrivial join cover of x is contained in D_k.
+
+So the layers depend only on the join-dependency relation: p D q iff q
+lies in some minimal nontrivial join cover of p (Freese, Jezek and
+Nation, Free Lattices, 1995, Ch. 2).  D_0 is the set of elements with no
+D-successor and D_{k+1} the set of elements whose D-successors all lie
+in D_k.  For q join-irreducible with lower cover q_*,
+
+    p D q  iff  p </= q and some meet-irreducible m has
+                q_* <= m, p </= m and p <= q v m.
+
+(=>) Let Q be a minimal cover of p containing q, y the join of Q - {q}.
+Then p <= q v y, and p </= q_* v y by local minimality.  Enlarge q_* v y
+to a maximal m with p </= m; then m >= q_* and p <= q v m.  Such an m
+is meet-irreducible: if m = a ^ b with a, b > m, then p <= a and p <= b
+by maximality, so p <= m.  And p </= q because Q is nontrivial.
+(<=) {q, m} is a nontrivial join cover of p; refine it to a minimal
+nontrivial join cover B.  If q is not in B, every member of B below q
+lies below q_*, so join(B) <= q_* v m = m, against p <= join(B) and
+p </= m.  So q is in B.
+
+An m with q <= m never serves, since then q v m = m.  So D is computed
+in one boolean pass over p and the pairs (q, m) with q_* <= m and
+q </= m, at most n |J| |M| steps, in row chunks; the dual side reads the
+transposed order and the meet table, so no dual lattice is built.
 """
 
 from dataclasses import dataclass
 
-from .core import dual
+import numpy as np
+
+from .core import _masks, chunk_ranges
 
 
 def refines(L, xp, x):
@@ -66,9 +92,43 @@ def min_join_covers(L, x):
     return covers
 
 
+def _d_relation(leq, join, below, mis):
+    """Bool matrix rel with rel[p, q] iff p D q, in the lattice with
+    order matrix leq and join table join.  below maps each
+    join-irreducible q to its lower cover q_*; mis lists the
+    meet-irreducibles."""
+    n = len(leq)
+    J = np.fromiter(below, dtype=np.intp, count=len(below))
+    lower = np.fromiter(below.values(), dtype=np.intp, count=len(below))
+    M = np.asarray(mis, dtype=np.intp)
+    # the pairs (q, m) with q_* <= m and q </= m, grouped by q; every q
+    # has one (a maximal element above q_* and not above q), so no group
+    # is empty, as reduceat needs
+    qi, mi = np.nonzero(leq[np.ix_(lower, M)] & ~leq[np.ix_(J, M)])
+    q_or_m, m = join[J[qi], M[mi]], M[mi]
+    starts = np.searchsorted(qi, np.arange(len(J)))
+    rel = np.zeros((n, n), dtype=bool)
+    for start, stop in chunk_ranges(n, max(1, len(qi))):
+        rows = leq[start:stop]
+        witness = rows[:, q_or_m] & ~rows[:, m]
+        rel[start:stop, J] = np.logical_or.reduceat(witness, starts, axis=1) & ~rows[:, J]
+    return rel
+
+
+def _relation(L):
+    below = {q: L.lower_covers[q][0] for q in L.join_irreducibles()}
+    return _d_relation(L.leq, L.join_table, below, L.meet_irreducibles())
+
+
+def _dual_relation(L):
+    """D of the dual lattice: order, operations and irreducibles swapped."""
+    above = {q: L.upper_covers[q][0] for q in L.meet_irreducibles()}
+    return _d_relation(L.leq.T, L.meet_table, above, L.join_irreducibles())
+
+
 def join_primes(L):
-    """Elements with no nontrivial join cover at all."""
-    return tuple(x for x in range(L.n) if not min_join_covers(L, x))
+    """Elements with no nontrivial join cover at all: no D-successor."""
+    return tuple(np.flatnonzero(~_relation(L).any(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -93,27 +153,29 @@ class DSequence:
         }
 
 
-def _layers(L):
-    covers_of = {x: min_join_covers(L, x) for x in range(L.n)}
-    current = frozenset(x for x in range(L.n) if not covers_of[x])
-    layers = [current]
+def _fixpoint(rel):
+    """D_0 <= D_1 <= ... from the D relation, until a layer repeats.
+    D_0 is never empty (it holds the bottom), so it differs from the
+    empty start."""
+    succ = _masks(rel)
+    layers, inside = [], 0
     while True:
-        nxt = frozenset(
-            x
-            for x in range(L.n)
-            if all(set(X) <= current for X in covers_of[x])
-        )
-        if nxt == current:
+        nxt = sum(1 << p for p, s in enumerate(succ) if not s & ~inside)
+        if nxt == inside:
             break
         layers.append(nxt)
-        current = nxt
-    return layers
+        inside = nxt
+    return [frozenset(p for p in range(len(succ)) if mask >> p & 1) for mask in layers]
+
+
+def _layers(L):
+    return _fixpoint(_relation(L))
 
 
 def d_sequence(L):
     """Compute D(L), its dual, and the quadrant verdict."""
     layers = _layers(L)
-    dual_layers = _layers(dual(L))
+    dual_layers = _fixpoint(_dual_relation(L))
     full = layers[-1]
     dual_full = dual_layers[-1]
     everything = frozenset(range(L.n))

@@ -117,17 +117,20 @@ def _key_to_covers(key):
     return [list(c) for c in FiniteLattice(key, _validated=True).covers]
 
 
-def admissible_triples(L):
-    """All (a, b, c) with b < c, a parallel to b and to c, ascending."""
+def iter_admissible_triples(L):
+    """Each (a, b, c) with b < c, a parallel to b and to c, ascending."""
     n = L.n
-    out = []
     for a in range(n):
         for b in range(n):
             if L.incomparable(a, b):
                 for c in range(n):
                     if c != b and L.le(b, c) and L.incomparable(a, c):
-                        out.append((a, b, c))
-    return out
+                        yield a, b, c
+
+
+def admissible_triples(L):
+    """All admissible triples of L, ascending."""
+    return list(iter_admissible_triples(L))
 
 
 def gadget(L, a, b, c):
@@ -179,7 +182,7 @@ def verify_universal(L):
     F = flp_nine()
     index = {name: i for i, name in enumerate(F.names)}
     checked = 0
-    for a, b, c in admissible_triples(L):
+    for a, b, c in iter_admissible_triples(L):
         assignment = {"A": a, "B": b, "C": c}
         phi = [None] * 9
         for name, term in FLP_TERMS.items():
@@ -227,7 +230,7 @@ class GadgetCensus:
 def census_one(L):
     """(fingerprint, iso_class) multiset of a single lattice's gadgets."""
     pairs, total = {}, 0
-    for a, b, c in admissible_triples(L):
+    for a, b, c in iter_admissible_triples(L):
         report = gadget(L, a, b, c)
         total += 1
         key = (report.fingerprint, report.iso_class)

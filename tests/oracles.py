@@ -1,9 +1,10 @@
 """Slow reference implementations that the library's fast paths are
 checked against: dense bool-matmul closure and covers, the pairwise
 table build, the loop checkers and forbidden-sublattice search, the
-poset-filter lattice census and the all-subsets join-cover and D-layer
-definitions.  Each returns what the
-library function returns, witness and error pair included.
+poset-filter lattice census, the all-subsets join-cover and D-layer
+definitions, and the D-layers read off the minimal join covers.  Each
+returns what the library function returns, witness and error pair
+included.
 """
 
 from itertools import combinations
@@ -12,7 +13,7 @@ import numpy as np
 
 from latkit.enumeration import _bits, _ups_of, poset_key
 from latkit.errors import NotALattice, NotAPartialOrder
-from latkit.jonsson import refines
+from latkit.jonsson import min_join_covers, refines
 from latkit.properties import PropertyReport
 
 
@@ -286,6 +287,25 @@ def oracle_d_layers(L):
             if ok:
                 nxt.add(x)
         nxt = frozenset(nxt)
+        if nxt == current:
+            break
+        layers.append(nxt)
+        current = nxt
+    return layers
+
+
+def oracle_layers_from_covers(L):
+    """D-layers from every minimal join cover of every element: x joins
+    the next layer once all its minimal covers lie in the current one."""
+    covers_of = {x: min_join_covers(L, x) for x in range(L.n)}
+    current = frozenset(x for x in range(L.n) if not covers_of[x])
+    layers = [current]
+    while True:
+        nxt = frozenset(
+            x
+            for x in range(L.n)
+            if all(set(X) <= current for X in covers_of[x])
+        )
         if nxt == current:
             break
         layers.append(nxt)

@@ -63,6 +63,19 @@ def test_unknown_verb_exit_two():
     assert run(["frobnicate"]) == 2
 
 
+def test_internal_error_exits_three(monkeypatch, n5_file, capsys):
+    import latkit.cli
+
+    def broken(args):
+        raise RuntimeError("table out of step\nsecond line")
+
+    monkeypatch.setattr(latkit.cli, "_cmd_check", broken)
+    assert run(["check", n5_file, "--property", "modular"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: table out of step second line\n"
+
+
 def test_determinism_byte_identical(n5_file, capsys):
     run(["check", n5_file, "--property", "whitman"])
     first = capsys.readouterr().out

@@ -1,18 +1,29 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from latkit import FiniteLattice, chain, dual, m3, n5, two_by_chain
+import latkit.core
+from latkit import FiniteLattice, boolean, chain, dual, linear_sum, m3, n5, product, two_by_chain
 from latkit.jonsson import (
+    _dual_relation,
     _layers,
+    _relation,
     d_sequence,
     join_primes,
     min_join_covers,
     refines,
 )
 from latkit.properties import is_distributive
-from oracles import oracle_d_layers, oracle_min_join_covers
+from oracles import oracle_d_layers, oracle_layers_from_covers, oracle_min_join_covers
+
+
+def diamond(k):
+    """M_k: k atoms between a bottom 0 and a top k + 1."""
+    return FiniteLattice.from_covers(
+        k + 2, [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    )
 
 
 def test_refines_examples():
@@ -65,9 +76,7 @@ def test_d_sequence_n5():
 def test_d_sequence_diamonds(k):
     """M_k: the bottom is the only join prime and the top the only meet
     prime, and the top's minimal covers are the pairs of atoms."""
-    M = FiniteLattice.from_covers(
-        k + 2, [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
-    )
+    M = diamond(k)
     payload = d_sequence(M).to_json_dict()
     assert payload["layers"] == [[0]]
     assert payload["dual_layers"] == [[k + 1]]
@@ -114,6 +123,27 @@ def test_layers_match_subset_oracle(stream7):
         fast = [frozenset(layer) for layer in _layers(L)]
         slow = [frozenset(layer) for layer in oracle_d_layers(L)]
         assert fast == slow
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_d_relation_matches_min_join_covers(stream9, monkeypatch, chunk):
+    """p D q iff q is a member of a minimal nontrivial join cover of p,
+    on both sides, and the layers agree with those read off the covers;
+    with a tiny CHUNK the D pass runs a row or a few at a time.  Inputs:
+    the n <= 9 stream, larger shapes, and three of them renumbered."""
+    if chunk is not None:
+        monkeypatch.setattr(latkit.core, "CHUNK", chunk)
+    rng = random.Random(10)
+    shapes = [product(chain(6), chain(8)), linear_sum(boolean(5), n5()), product(n5(), m3())]
+    shuffled = [L.relabel(rng.sample(range(L.n), L.n)) for L in shapes]
+    for L in stream9 + [two_by_chain(24), boolean(5), diamond(7)] + shapes + shuffled:
+        for rel, side in ((_relation(L), L), (_dual_relation(L), dual(L))):
+            for p in range(L.n):
+                members = {q for X in min_join_covers(side, p) for q in X}
+                assert set(rel[p].nonzero()[0].tolist()) == members
+        assert _layers(L) == oracle_layers_from_covers(L)
+        ds = d_sequence(L)
+        assert [frozenset(layer) for layer in ds.dual_layers] == oracle_layers_from_covers(dual(L))
 
 
 def test_quadrants_cover_all_four(stream8):

@@ -19,6 +19,7 @@ from latkit.subalgebra import (
     gadget,
     gadget_census,
     generate_sublattice,
+    iter_admissible_triples,
     verify_universal,
 )
 
@@ -113,6 +114,21 @@ def test_gadget_image_is_closure(stream6):
             report = gadget(L, a, b, c)
             assert set(report.generated) == generate_sublattice(L, {a, b, c})
             assert report.size <= 9
+
+
+def test_admissible_triples_ascend_from_the_least(stream6):
+    """The lazy scan yields every triple of the definition, in
+    lexicographic order, so its first is the least one."""
+    for L in stream6:
+        every = [
+            (a, b, c)
+            for a in range(L.n)
+            for b in range(L.n)
+            for c in range(L.n)
+            if b != c and L.le(b, c) and L.incomparable(a, b) and L.incomparable(a, c)
+        ]
+        assert list(iter_admissible_triples(L)) == admissible_triples(L) == every
+        assert next(iter_admissible_triples(L), None) == min(every, default=None)
 
 
 def test_dual_gadgets_have_dual_fingerprints(stream6):
