@@ -6,6 +6,7 @@ The files under tests/golden/ are the stdout of
     latkit gadget-census --max-n 8
     latkit gadget FLP.json 4 2 6      # flp_nine() saved, generators A, B, C
     latkit verify corpus --max-n 9
+    latkit verify gj --max-n 8
     latkit check FILE --property P     # every P, then dseq FILE, on CORPUS
     latkit ladder split SPEC --radius R  # LADDER_RUNS, in order
     latkit classify FILE                 # on CLASSIFY_CORPUS
@@ -80,6 +81,11 @@ def test_golden_enum_max_n_10_sha256(capsys):
 def test_golden_verify_corpus_max_n_9(capsys):
     expected = (GOLDEN / "verify_corpus_max_n_9.txt").read_text(encoding="utf-8")
     assert _stdout(["verify", "corpus", "--max-n", "9"], capsys) == expected
+
+
+def test_golden_verify_gj_max_n_8(capsys):
+    expected = (GOLDEN / "verify_gj_max_n_8.txt").read_text(encoding="utf-8")
+    assert _stdout(["verify", "gj", "--max-n", "8"], capsys) == expected
 
 
 def test_golden_scan_conjecture1_max_n_9_full_sha256(capsys):
