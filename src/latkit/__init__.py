@@ -14,7 +14,6 @@ from .core import (
     canonical_key,
     dual,
     find_isomorphism,
-    is_isomorphic,
 )
 from .catalog import (
     boolean,
@@ -37,7 +36,7 @@ from .properties import (
     whitman_w,
 )
 from .subalgebra import flp_nine, gadget, gadget_census, generate_sublattice, verify_universal
-from .jonsson import d_sequence, min_join_covers, refines
+from .jonsson import d_sequence, min_join_covers
 from .classifier import check_theorem, classify_block, constructive_iso_2xc, verify_prop_width3
 from .freeterm import canonical, eval_term, format_term, free_leq
 from .freeterm import parse as parse_term
@@ -57,7 +56,6 @@ __all__ = [
     "canonical_key",
     "dual",
     "find_isomorphism",
-    "is_isomorphic",
     "boolean",
     "chain",
     "construct",
@@ -85,7 +83,6 @@ __all__ = [
     "verify_universal",
     "d_sequence",
     "min_join_covers",
-    "refines",
     "check_theorem",
     "classify_block",
     "constructive_iso_2xc",

@@ -238,30 +238,38 @@ class FiniteLattice:
         """Maximum antichain size, via Dilworth duality.
 
         A minimum chain cover has n - M chains where M is a maximum
-        matching of the strict comparability relation split into a
-        bipartite graph; the width equals the cover size.
+        matching of the strict order split into a bipartite graph; the
+        width equals the cover size.  Up-sets are int masks with bits in
+        reversed topo_order, as in covers.  A greedy pass from the top
+        matches each element to the free element above it that comes
+        first in topo_order (the highest free bit), which alone is exact
+        on chains.  Each element it leaves unmatched then gets one
+        augmenting search (Kuhn's algorithm with a greedy start, exact by
+        Berge's lemma), on an explicit stack rather than by recursion.
+        The bits a failed search reached are dead: none is free, and the
+        up-set of each one's owner is dead too, so no alternating path
+        from them reaches a free bit.  A flip changes no dead bit's
+        owner, so they stay dead and later searches skip them.
         """
-        n = self.n
-        succ = [
-            [j for j, up in enumerate(row) if up and j != i]
-            for i, row in enumerate(self.leq.tolist())
-        ]
-        match_right = [-1] * n
-
-        def try_augment(i, seen):
-            for j in succ[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    if match_right[j] == -1 or try_augment(match_right[j], seen):
-                        match_right[j] = i
-                        return True
-            return False
-
-        matched = 0
-        for i in range(n):
-            if try_augment(i, [False] * n):
-                matched += 1
-        return n - matched
+        ups, elem = _set_masks(self.leq, _linear_extension(self.leq)[::-1])
+        up = [m ^ 1 << (m.bit_length() - 1) for m in ups]  # strict up-sets
+        owner = [-1] * self.n  # owner[k]: the element matched to bit k
+        free = (1 << self.n) - 1
+        unmatched = []
+        for x in elem[1:]:  # top first
+            above = up[x] & free
+            if above:
+                k = above.bit_length() - 1
+                owner[k] = x
+                free ^= 1 << k
+            else:
+                unmatched.append(x)
+        width, dead = 0, 0
+        for x in unmatched:
+            grown = _augment(x, up, owner, dead)
+            if grown is not None:  # no augmenting path: x stays unmatched
+                width, dead = width + 1, grown
+        return width
 
     # -- linear-sum decomposition --------------------------------------
 
@@ -330,6 +338,32 @@ class FiniteLattice:
             for x in range(self.n)
             if len(self.lower_covers[x]) >= 2 and len(self.upper_covers[x]) >= 2
         )
+
+
+def _augment(root, up, owner, seen):
+    """Flip an augmenting path from the unmatched element root, if there
+    is one, and return None; else return seen grown by every bit the
+    search reached.  Depth-first on an explicit stack: a frame is an
+    element and the bits above it still to try, and via[d] is the bit
+    that led from frame d to frame d + 1.  No bit in seen is tried."""
+    stack, via = [[root, up[root]]], []
+    while stack:
+        frame = stack[-1]
+        left = frame[1] & ~seen
+        if not left:
+            stack.pop()
+            del via[-1:]  # the bit that led here, if any
+            continue
+        k = left.bit_length() - 1
+        seen |= 1 << k
+        frame[1] = left ^ 1 << k
+        via.append(k)
+        if owner[k] < 0:
+            for (x, _), k in zip(stack, via):
+                owner[k] = x
+            return None
+        stack.append([owner[k], up[owner[k]]])
+    return seen
 
 
 def transitive_closure(rel):
@@ -610,6 +644,3 @@ def find_isomorphism(L1, L2):
 
     return f if backtrack(0) else None
 
-
-def is_isomorphic(L1, L2):
-    return find_isomorphism(L1, L2) is not None

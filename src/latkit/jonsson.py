@@ -1,4 +1,4 @@
-"""Jonsson's D-sequence: join covers, refinement, the layered subsets
+"""Jonsson's D-sequence: minimal join covers, the layered subsets
 D_0 <= D_1 <= ..., their duals, and the four-quadrant verdict.
 
 Definitions (standard, since the source material uses but does not
@@ -47,11 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _masks, chunk_ranges
-
-
-def refines(L, xp, x):
-    """X' << X: every member of X' is below some member of X."""
-    return all(any(L.le(a, b) for b in x) for a in xp)
 
 
 def min_join_covers(L, x):
@@ -124,11 +119,6 @@ def _dual_relation(L):
     """D of the dual lattice: order, operations and irreducibles swapped."""
     above = {q: L.upper_covers[q][0] for q in L.meet_irreducibles()}
     return _d_relation(L.leq.T, L.meet_table, above, L.join_irreducibles())
-
-
-def join_primes(L):
-    """Elements with no nontrivial join cover at all: no D-successor."""
-    return tuple(np.flatnonzero(~_relation(L).any(axis=1)).tolist())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import m3, n5
 from .core import chunk_ranges, first_hit
 from .errors import M3N5Disagreement
 
@@ -136,9 +135,6 @@ def whitman_w(L):
     return PropertyReport("whitman", False, (x, y, z, w))
 
 
-_PATTERNS = {"M3": m3, "N5": n5}
-
-
 def find_forbidden(L, pattern):
     """Search for a sublattice isomorphic to M3 or N5.
 
@@ -151,7 +147,7 @@ def find_forbidden(L, pattern):
     are symmetric, so its least triple has x < y < z.  Returns the least
     embedding as a map from the catalog pattern's elements, or None.
     """
-    if pattern not in _PATTERNS:
+    if pattern not in ("M3", "N5"):
         raise ValueError(f"pattern must be M3 or N5, got {pattern!r}")
     n, leq = L.n, L.leq
     join, meet = L.join_table, L.meet_table
@@ -172,25 +168,6 @@ def find_forbidden(L, pattern):
     x, y = divmod(hit[0], n)
     first, second = (y, x) if pattern == "N5" else (x, y)  # N5's 1 < 3, like y < z
     return {0: int(meet[x, y]), 1: first, 2: second, 3: hit[1], 4: int(join[x, y])}
-
-
-def embedding_is_valid(L, pattern, emb):
-    """Re-check an embedding: an injective order-embedding of the
-    pattern with a join- and meet-closed image is a sublattice
-    isomorphic to it."""
-    P = _PATTERNS[pattern]()
-    elems = sorted(set(emb.values()))
-    if len(elems) != P.n:
-        return False
-    for i in range(P.n):
-        for j in range(P.n):
-            if P.leq[i, j] != L.leq[emb[i], emb[j]]:
-                return False
-    for x in elems:
-        for y in elems:
-            if L.join(x, y) not in elems or L.meet(x, y) not in elems:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

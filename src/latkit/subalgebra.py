@@ -128,11 +128,6 @@ def iter_admissible_triples(L):
                         yield a, b, c
 
 
-def admissible_triples(L):
-    """All admissible triples of L, ascending."""
-    return list(iter_admissible_triples(L))
-
-
 def gadget(L, a, b, c):
     """Generate and fingerprint the gadget G(a; b, c)."""
     if len({a, b, c}) != 3:

@@ -2,19 +2,26 @@
 checked against: dense bool-matmul closure and covers, the pairwise
 table build, the loop checkers and forbidden-sublattice search, the
 poset-filter lattice census, the all-subsets join-cover and D-layer
-definitions, and the D-layers read off the minimal join covers.  Each
-returns what the library function returns, witness and error pair
-included.
+definitions, the D-layers read off the minimal join covers, and width
+by recursive matching.  Each returns what the library function returns,
+witness and error pair included.
+
+Also here are helpers only the tests use: join-cover refinement, the
+join primes, the list of admissible triples, the re-check of a
+forbidden-sublattice embedding, and a boolean isomorphism test.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from latkit.catalog import m3, n5
+from latkit.core import find_isomorphism
 from latkit.enumeration import _bits, _ups_of, poset_key
 from latkit.errors import NotALattice, NotAPartialOrder
-from latkit.jonsson import min_join_covers, refines
+from latkit.jonsson import _relation, min_join_covers
 from latkit.properties import PropertyReport
+from latkit.subalgebra import iter_admissible_triples
 
 
 def transitive_closure(rel):
@@ -311,3 +318,68 @@ def oracle_layers_from_covers(L):
         layers.append(nxt)
         current = nxt
     return layers
+
+
+def oracle_width(L):
+    """Width by Dilworth duality: n minus a maximum matching of the
+    strict order as a bipartite graph, by recursive Kuhn augmentation
+    from every element in index order."""
+    n = L.n
+    succ = [
+        [j for j, up in enumerate(row) if up and j != i]
+        for i, row in enumerate(L.leq.tolist())
+    ]
+    match_right = [-1] * n
+
+    def try_augment(i, seen):
+        for j in succ[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_right[j] == -1 or try_augment(match_right[j], seen):
+                    match_right[j] = i
+                    return True
+        return False
+
+    matched = 0
+    for i in range(n):
+        if try_augment(i, [False] * n):
+            matched += 1
+    return n - matched
+
+
+def refines(L, xp, x):
+    """X' << X: every member of X' is below some member of X."""
+    return all(any(L.le(a, b) for b in x) for a in xp)
+
+
+def join_primes(L):
+    """Elements with no nontrivial join cover at all: no D-successor."""
+    return tuple(np.flatnonzero(~_relation(L).any(axis=1)).tolist())
+
+
+def admissible_triples(L):
+    """All admissible triples of L, ascending."""
+    return list(iter_admissible_triples(L))
+
+
+def embedding_is_valid(L, pattern, emb):
+    """Re-check an embedding: an injective order-embedding of the
+    pattern with a join- and meet-closed image is a sublattice
+    isomorphic to it."""
+    P = {"M3": m3, "N5": n5}[pattern]()
+    elems = sorted(set(emb.values()))
+    if len(elems) != P.n:
+        return False
+    for i in range(P.n):
+        for j in range(P.n):
+            if P.leq[i, j] != L.leq[emb[i], emb[j]]:
+                return False
+    for x in elems:
+        for y in elems:
+            if L.join(x, y) not in elems or L.meet(x, y) not in elems:
+                return False
+    return True
+
+
+def is_isomorphic(L1, L2):
+    return find_isomorphism(L1, L2) is not None

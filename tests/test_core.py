@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -12,7 +14,6 @@ from latkit import (
     canonical_key,
     dual,
     find_isomorphism,
-    is_isomorphic,
     linear_sum,
     m3,
     n5,
@@ -22,7 +23,7 @@ from latkit import (
 from latkit import core
 from latkit.core import _canonical_search, _orbit, canonical_form, parallel_map, size_cap
 from latkit.errors import NotALattice, NotAPartialOrder, SizeCapExceeded
-from oracles import labeled_lattices
+from oracles import is_isomorphic, labeled_lattices, oracle_width
 
 
 # -- independent oracles ------------------------------------------------
@@ -199,6 +200,59 @@ def test_width_examples():
 def test_width_against_bruteforce(stream8):
     for L in stream8:
         assert L.width() == brute_width(L)
+
+
+def shuffled(L, seed):
+    perm = list(range(L.n))
+    random.Random(seed).shuffle(perm)
+    return L.relabel(perm)
+
+
+def test_width_matches_oracle(stream9):
+    """Every lattice with n <= 9, and 1,000 seeded products and linear
+    sums of two with n <= 7 (up to 49 elements, with longer augmenting
+    paths), each in its own and in a shuffled numbering."""
+    rng = random.Random(9)
+    small = [L for L in stream9 if L.n <= 7]
+    composites = [
+        (product if i % 2 else linear_sum)(*rng.sample(small, 2)) for i in range(1000)
+    ]
+    for i, L in enumerate(stream9 + composites):
+        assert L.width() == oracle_width(L)
+        R = shuffled(L, i)
+        assert R.width() == oracle_width(R) == oracle_width(L)
+
+
+@pytest.mark.parametrize(
+    "L, width",
+    [
+        (chain(300), 1),
+        (two_by_chain(150), 2),
+        (product(chain(16), chain(16)), 16),
+        (product(chain(7), chain(12)), 7),
+        (boolean(8), comb(8, 4)),
+        (boolean(7), comb(7, 3)),
+        (linear_sum(boolean(6), two_by_chain(12)), comb(6, 3)),
+        (linear_sum(two_by_chain(40), product(chain(3), chain(5))), 3),
+    ],
+    ids=["chain300", "2xC150", "C16xC16", "C7xC12", "boolean8", "boolean7", "B6+2xC12", "2xC40+C3xC5"],
+)
+def test_width_closed_forms_shuffled(L, width):
+    """Chain 1, 2 x C_k 2, C_a x C_b min(a, b), boolean(k) the middle
+    binomial (Sperner), a linear sum the larger of its summands'."""
+    assert L.width() == width
+    for seed in range(3):
+        assert shuffled(L, seed).width() == width
+
+
+@pytest.mark.slow
+def test_width_at_the_element_cap():
+    """Shuffled 2 x C_2048 (n = 4096): an iterative matching, no recursion
+    depth, and well under a second."""
+    L = shuffled(two_by_chain(2048), 2048)
+    start = time.perf_counter()
+    assert L.width() == 2
+    assert time.perf_counter() - start < 0.5
 
 
 # -- linear decomposition ---------------------------------------------------

@@ -11,12 +11,16 @@ from latkit.jonsson import (
     _layers,
     _relation,
     d_sequence,
-    join_primes,
     min_join_covers,
-    refines,
 )
 from latkit.properties import is_distributive
-from oracles import oracle_d_layers, oracle_layers_from_covers, oracle_min_join_covers
+from oracles import (
+    join_primes,
+    oracle_d_layers,
+    oracle_layers_from_covers,
+    oracle_min_join_covers,
+    refines,
+)
 
 
 def diamond(k):

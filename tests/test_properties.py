@@ -19,7 +19,6 @@ from latkit.errors import M3N5Disagreement
 from latkit.properties import (
     PropertyReport,
     check_property,
-    embedding_is_valid,
     find_forbidden,
     is_distributive,
     is_modular,
@@ -27,6 +26,7 @@ from latkit.properties import (
     m3n5_crosscheck,
     whitman_w,
 )
+from oracles import embedding_is_valid
 
 
 # -- independent oracles: plain full quantification, no early exits ------

@@ -14,7 +14,6 @@ from latkit import (
 from latkit.errors import BadConfiguration
 from latkit.subalgebra import (
     FLP_DUALITY,
-    admissible_triples,
     flp_nine,
     gadget,
     gadget_census,
@@ -22,6 +21,7 @@ from latkit.subalgebra import (
     iter_admissible_triples,
     verify_universal,
 )
+from oracles import admissible_triples
 
 
 def naive_closure(L, seed):
