@@ -13,7 +13,6 @@ from .core import (
     FiniteLattice,
     canonical_key,
     dual,
-    find_isomorphism,
 )
 from .catalog import (
     boolean,
@@ -55,7 +54,6 @@ __all__ = [
     "FiniteLattice",
     "canonical_key",
     "dual",
-    "find_isomorphism",
     "boolean",
     "chain",
     "construct",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import cube3, two_by_chain
-from .core import find_isomorphism
+from .core import _dwn_of, canonical_form
 from .errors import (
     CounterexampleFound,
     InvariantViolated,
@@ -61,22 +61,34 @@ class GJVerdict:
         return self.distributive and self.dr_free and len(self.blocks) == 1
 
 
-# Reference lattices, built once per process.  Bounded, because a block
-# of 4,096 elements would pin the 4 MB tables of 2 x C_2048.
-_cube = lru_cache(maxsize=1)(cube3)
-_ladder = lru_cache(maxsize=32)(two_by_chain)
+def _key(L):
+    """Canonical mask key of L's order: equal keys mean isomorphic."""
+    return canonical_form(_dwn_of(L.leq))[0]
+
+
+# Reference keys, built once per process.  Bounded, because the key of
+# 2 x C_2048 holds 4,096 masks of 4,096 bits.
+_cube_key = lru_cache(maxsize=1)(lambda: _key(cube3()))
+_ladder_key = lru_cache(maxsize=32)(lambda m: _key(two_by_chain(m)))
 
 
 def classify_block(L, block):
-    """Tag one linearly indecomposable block of L."""
+    """Tag one linearly indecomposable block of L.
+
+    Only a block that can match gets a canonical key: the cube has
+    eight elements, and 2 x C_m has 2m >= 4 and width two.  The width
+    gate keeps wide blocks such as M_k out of the canonical search."""
     members = block.elements
     if len(members) == 1:
         return "Singleton"
     sub, _ = L.restrict(members)
-    if sub.n == 8 and find_isomorphism(sub, _cube()) is not None:
-        return "Cube"
-    if sub.n % 2 == 0 and sub.n >= 4:
-        if find_isomorphism(sub, _ladder(sub.n // 2)) is not None:
+    cube = sub.n == 8
+    ladder = sub.n % 2 == 0 and sub.n >= 4 and sub.width() == 2
+    if cube or ladder:
+        key = _key(sub)
+        if cube and key == _cube_key():
+            return "Cube"
+        if ladder and key == _ladder_key(sub.n // 2):
             return "TwoByChain"
     return "Other"
 
@@ -213,7 +225,7 @@ def constructive_iso_2xc(L):
         f[x] = j
     for j, x in enumerate(high):
         f[x] = m + j
-    target = _ladder(m)
+    target = two_by_chain(m)
     if sorted(f) != list(range(n)):
         raise InvariantViolated("rail map is not a bijection")
     for x in range(n):
@@ -231,19 +243,17 @@ class Width3Report:
     qualifying: int
 
 
-def verify_prop_width3(lattices, verdicts=None):
+def verify_prop_width3(lattices, verdicts):
     """Indecomposable distributive DR-free width-3 lattices must all be
-    the cube; raises CounterexampleFound otherwise.  verdicts, if given,
-    are the check_theorem verdicts of the lattices in order; a None
-    verdict (the theorem check disagreed) does not qualify."""
+    the cube; raises CounterexampleFound otherwise.  verdicts are the
+    check_theorem verdicts of the lattices in order; a None verdict (the
+    theorem check disagreed) does not qualify."""
     lattices = list(lattices)
-    if verdicts is None:
-        verdicts = map(check_theorem, lattices)
     qualifying = 0
     for L, verdict in zip(lattices, verdicts):
         if verdict is not None and verdict.qualifies and L.width() == 3:
             qualifying += 1
-            if find_isomorphism(L, _cube()) is None:
+            if L.n != 8 or _key(L) != _cube_key():
                 raise CounterexampleFound(
                     f"width-3 qualifier not isomorphic to the cube: {L!r}",
                     witness=L,

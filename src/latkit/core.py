@@ -171,13 +171,21 @@ class FiniteLattice:
         return not (self.leq[x, y] or self.leq[y, x])
 
     @cached_property
+    def _up_masks(self):
+        """(ups, elem) of _set_masks: up-set masks with bit k for the
+        k-th element of reversed topo_order, shared by covers and width.
+        The table build makes its own and drops them, so a lattice that
+        is only built and counted keeps no masks."""
+        return _set_masks(self.leq, _linear_extension(self.leq)[::-1])
+
+    @cached_property
     def covers(self):
         """Cover pairs (lo, hi): the transitive reduction of leq.
 
         The first element of x's strict up-set in topo_order covers x;
         dropping everything above it leaves the next cover first.
         """
-        ups, elem = _set_masks(self.leq, _linear_extension(self.leq)[::-1])
+        ups, elem = self._up_masks
         pairs = []
         for x, rest in enumerate(ups):
             rest ^= 1 << (rest.bit_length() - 1)  # x itself comes first
@@ -251,7 +259,7 @@ class FiniteLattice:
         from them reaches a free bit.  A flip changes no dead bit's
         owner, so they stay dead and later searches skip them.
         """
-        ups, elem = _set_masks(self.leq, _linear_extension(self.leq)[::-1])
+        ups, elem = self._up_masks
         up = [m ^ 1 << (m.bit_length() - 1) for m in ups]  # strict up-sets
         owner = [-1] * self.n  # owner[k]: the element matched to bit k
         free = (1 << self.n) - 1
@@ -504,7 +512,7 @@ def refine(down, up, colors=None):
     sorted colours above) until the partition stops splitting.  The
     start colouring defaults to (#below, #above).  Ranks are invariant
     under relabeling, so colours are comparable across the elements of
-    one input, and across two orders refined as one disjoint union.
+    one input.
     """
     if colors is None:
         colors = [(len(d), len(u)) for d, u in zip(down, up)]
@@ -523,11 +531,6 @@ def refine(down, up, colors=None):
 
 
 def canonical_form(dwn):
-    """Canonical (key, perm) of the poset given by down-set masks."""
-    return _canonical_search(dwn)[:2]
-
-
-def _canonical_search(dwn):
     """Canonical (key, perm, autos) of the poset given by down-set masks.
 
     perm[a] is the element placed at canonical position a and key[a] is
@@ -604,43 +607,5 @@ def canonical_key(L):
     the element at canonical position a lies below the one at b.
     Equal keys mean isomorphic.
     """
-    _, perm = canonical_form(_dwn_of(L.leq))
+    perm = canonical_form(_dwn_of(L.leq))[1]
     return tuple(map(tuple, L.leq[np.ix_(perm, perm)].tolist()))
-
-
-def find_isomorphism(L1, L2):
-    """Lexicographically least order-isomorphism L1 -> L2, or None.
-
-    On finite lattices an order-isomorphism is automatically a lattice
-    isomorphism.  Candidate images are restricted to elements of the same
-    colour, refining both orders as one disjoint union.
-    """
-    if L1.n != L2.n:
-        return None
-    n = L1.n
-    union = _dwn_of(L1.leq) + [mask << n for mask in _dwn_of(L2.leq)]
-    colors = refine(*_neighbours(union))
-    c1, c2 = colors[:n], colors[n:]
-    if sorted(c1) != sorted(c2):
-        return None
-    a, b = L1.leq, L2.leq
-    f = [-1] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or c1[i] != c2[j]:
-                continue
-            if all(a[i, k] == b[j, f[k]] and a[k, i] == b[f[k], j] for k in range(i)):
-                f[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-                f[i] = -1
-        return False
-
-    return f if backtrack(0) else None
-

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteLattice, _canonical_search, _leq_of, _orbit, parallel_map
+from .core import FiniteLattice, _leq_of, _orbit, canonical_form, parallel_map
 from .errors import (
     CounterexampleFound,
     M3N5Disagreement,
@@ -53,11 +53,6 @@ def _ups_of(dwn):
         for i in _bits(dwn[j]):
             ups[i] |= 1 << j
     return ups
-
-
-def poset_key(dwn):
-    """Canonical key of a poset given by down-set masks (core.canonical_form)."""
-    return _canonical_search(dwn)[0]
 
 
 def _valid_ideals(dwn):
@@ -102,7 +97,7 @@ def _semilattices(k):
             if any(below[i] < D.bit_count() for i in maximal):
                 continue  # outside mstar's orbit (module docstring)
             child = parent + (D | (1 << (k - 1)),)
-            ckey, cperm, autos = _canonical_search(child)
+            ckey, cperm, autos = canonical_form(child)
             if ckey in local:
                 continue
             mstar = next(e for e in cperm if e in maximal or e == k - 1)

@@ -2,22 +2,24 @@
 checked against: dense bool-matmul closure and covers, the pairwise
 table build, the loop checkers and forbidden-sublattice search, the
 poset-filter lattice census, the all-subsets join-cover and D-layer
-definitions, the D-layers read off the minimal join covers, and width
-by recursive matching.  Each returns what the library function returns,
-witness and error pair included.
+definitions, the D-layers read off the minimal join covers, width by
+recursive matching, and isomorphism by refinement and backtracking.
+Each returns what the library function returns, witness and error pair
+included.
 
 Also here are helpers only the tests use: join-cover refinement, the
 join primes, the list of admissible triples, the re-check of a
-forbidden-sublattice embedding, and a boolean isomorphism test.
+forbidden-sublattice embedding, a boolean isomorphism test, and the
+block tags of the structure theorem by backtracking isomorphism.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from latkit.catalog import m3, n5
-from latkit.core import find_isomorphism
-from latkit.enumeration import _bits, _ups_of, poset_key
+from latkit.catalog import cube3, m3, n5, two_by_chain
+from latkit.core import _dwn_of, _neighbours, canonical_form, refine
+from latkit.enumeration import _bits, _ups_of
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.jonsson import _relation, min_join_covers
 from latkit.properties import PropertyReport
@@ -243,7 +245,7 @@ def oracle_lattice_census(n, prune_meets=None):
     labeled = 0
     for dwn in labeled_lattices(n, prune_meets):
         labeled += 1
-        keys.add(poset_key(dwn))
+        keys.add(canonical_form(dwn)[0])
     return len(keys), labeled
 
 
@@ -381,5 +383,55 @@ def embedding_is_valid(L, pattern, emb):
     return True
 
 
+def oracle_find_isomorphism(L1, L2):
+    """Lexicographically least order-isomorphism L1 -> L2, or None.
+
+    On finite lattices an order-isomorphism is automatically a lattice
+    isomorphism.  Candidate images are restricted to elements of the same
+    colour, refining both orders as one disjoint union.
+    """
+    if L1.n != L2.n:
+        return None
+    n = L1.n
+    union = _dwn_of(L1.leq) + [mask << n for mask in _dwn_of(L2.leq)]
+    colors = refine(*_neighbours(union))
+    c1, c2 = colors[:n], colors[n:]
+    if sorted(c1) != sorted(c2):
+        return None
+    a, b = L1.leq, L2.leq
+    f = [-1] * n
+    used = [False] * n
+
+    def backtrack(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if used[j] or c1[i] != c2[j]:
+                continue
+            if all(a[i, k] == b[j, f[k]] and a[k, i] == b[f[k], j] for k in range(i)):
+                f[i] = j
+                used[j] = True
+                if backtrack(i + 1):
+                    return True
+                used[j] = False
+                f[i] = -1
+        return False
+
+    return f if backtrack(0) else None
+
+
 def is_isomorphic(L1, L2):
-    return find_isomorphism(L1, L2) is not None
+    return oracle_find_isomorphism(L1, L2) is not None
+
+
+def oracle_classify_block(L, block):
+    """classifier.classify_block by backtracking isomorphism onto the
+    cube and onto 2 x C_{n/2}."""
+    if len(block.elements) == 1:
+        return "Singleton"
+    sub, _ = L.restrict(block.elements)
+    if is_isomorphic(sub, cube3()):
+        return "Cube"
+    if sub.n % 2 == 0 and sub.n >= 4 and is_isomorphic(sub, two_by_chain(sub.n // 2)):
+        return "TwoByChain"
+    return "Other"

@@ -9,7 +9,6 @@ import pytest
 
 from latkit import (
     cube3,
-    find_isomorphism,
     m3,
     n5,
     two_by_chain,
@@ -49,7 +48,12 @@ from latkit.properties import (
     whitman_w,
 )
 from latkit.subalgebra import gadget_census, verify_universal
-from oracles import oracle_d_layers, oracle_lattice_census, oracle_min_join_covers
+from oracles import (
+    oracle_d_layers,
+    oracle_find_isomorphism,
+    oracle_lattice_census,
+    oracle_min_join_covers,
+)
 
 
 def report(num, ok, detail):
@@ -86,7 +90,7 @@ def test_criterion_2_width3_is_the_cube(stream9):
         and not L.doubly_reducibles()
         and L.width() == 3
     ]
-    ok = len(qualifiers) == 1 and find_isomorphism(qualifiers[0], cube3()) is not None
+    ok = len(qualifiers) == 1 and oracle_find_isomorphism(qualifiers[0], cube3()) is not None
     report(
         2,
         ok,
@@ -107,7 +111,7 @@ def test_criterion_3_width2_ladders(stream9):
         ladder_like = (
             L.n >= 4
             and L.n % 2 == 0
-            and find_isomorphism(L, two_by_chain(L.n // 2)) is not None
+            and oracle_find_isomorphism(L, two_by_chain(L.n // 2)) is not None
         )
         assert qualifies == ladder_like, f"mismatch on {sorted(L.covers)}"
         if qualifies:
@@ -119,7 +123,7 @@ def test_criterion_3_width2_ladders(stream9):
                 for y in range(L.n):
                     assert f[L.join(x, y)] == target.join(f[x], f[y])
                     assert f[L.meet(x, y)] == target.meet(f[x], f[y])
-            assert find_isomorphism(L, target) is not None
+            assert oracle_find_isomorphism(L, target) is not None
     report(
         3,
         instances > 0,
@@ -388,7 +392,7 @@ def test_criterion_9_enumeration_fidelity(stream6):
     duplicates = 0
     for i, L in enumerate(stream6):
         for K in stream6[i + 1 :]:
-            if find_isomorphism(L, K) is not None:
+            if oracle_find_isomorphism(L, K) is not None:
                 duplicates += 1
     report(
         9,

@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from latkit import (
+    FiniteLattice,
+    boolean,
     chain,
     cube3,
-    find_isomorphism,
     linear_sum,
     m3,
     n5,
@@ -20,6 +22,7 @@ from latkit.classifier import (
 )
 from latkit.errors import PreconditionFailed
 from latkit.properties import is_distributive, is_modular
+from oracles import oracle_classify_block, oracle_find_isomorphism
 
 
 def test_classify_blocks():
@@ -29,6 +32,51 @@ def test_classify_blocks():
     assert classify_block(L, blocks[1]) == "TwoByChain"
     M = m3()
     assert classify_block(M, M.linear_decompose()[0]) == "Other"
+
+
+def _diamond(k):
+    """M_k: k atoms between a bottom and a top."""
+    atoms = range(1, k + 1)
+    return FiniteLattice.from_covers(k + 2, [(0, a) for a in atoms] + [(a, k + 1) for a in atoms])
+
+
+def test_classify_block_long_ladder():
+    # n = 1,024: far more elements than the recursion limit allows frames
+    L = two_by_chain(512)
+    (block,) = L.linear_decompose()
+    assert classify_block(L, block) == "TwoByChain"
+
+
+def test_classify_block_wide_even_block_is_quick():
+    # n = 102 is even, but width 100 keeps M_100 out of the canonical search
+    L = _diamond(100)
+    (block,) = L.linear_decompose()
+    start = time.perf_counter()
+    assert classify_block(L, block) == "Other"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_classify_block_matches_oracle(stream9):
+    composites = [
+        two_by_chain(24),
+        boolean(5),
+        linear_sum(cube3(), two_by_chain(6)),
+        _diamond(7),
+        product(chain(6), chain(8)),
+    ]
+    rng = random.Random(7)
+    shuffled = []
+    for L in composites:
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        shuffled.append(L.relabel(perm))
+    tags = set()
+    for L in stream9 + composites + shuffled:
+        for block in L.linear_decompose():
+            tag = classify_block(L, block)
+            assert tag == oracle_classify_block(L, block), (L, block)
+            tags.add(tag)
+    assert tags == {"Singleton", "Cube", "TwoByChain", "Other"}
 
 
 def test_check_theorem_composite():
@@ -79,7 +127,7 @@ def test_constructive_iso_relabeled(k, seed):
             assert f[R.join(x, y)] == target.join(f[x], f[y])
             assert f[R.meet(x, y)] == target.meet(f[x], f[y])
     # independent check
-    assert find_isomorphism(R, target) is not None
+    assert oracle_find_isomorphism(R, target) is not None
 
 
 def test_constructive_iso_preconditions():
@@ -101,17 +149,19 @@ def test_constructive_iso_preconditions():
 
 
 def test_prop_width3_stream(stream9):
-    report = verify_prop_width3(stream9)
+    report = verify_prop_width3(stream9, [check_theorem(L) for L in stream9])
     assert report.qualifying == 1
 
 
 def test_prop_width3_includes_cube():
-    report = verify_prop_width3([cube3()])
+    lattices = [cube3()]
+    report = verify_prop_width3(lattices, [check_theorem(L) for L in lattices])
     assert report.qualifying == 1
 
 
 def test_prop_width3_filters_width2():
-    report = verify_prop_width3([two_by_chain(4)])
+    lattices = [two_by_chain(4)]
+    report = verify_prop_width3(lattices, [check_theorem(L) for L in lattices])
     assert report.qualifying == 0
 
 
@@ -128,7 +178,7 @@ def test_width2_finite_form(stream9):
         ladder_like = (
             L.n >= 4
             and L.n % 2 == 0
-            and find_isomorphism(L, two_by_chain(L.n // 2)) is not None
+            and oracle_find_isomorphism(L, two_by_chain(L.n // 2)) is not None
         )
         assert qualifies == ladder_like
         if qualifies:

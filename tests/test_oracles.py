@@ -1,6 +1,10 @@
 """The bitset core, the array checkers and the forbidden-sublattice
 scan against the slow oracles in oracles.py: same tables, covers,
-closures, verdicts, witnesses, embeddings and error pairs."""
+closures, verdicts, witnesses, embeddings and error pairs.  Also the
+oracles' own checks: the backtracking isomorphism on known cases."""
+
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latkit import FiniteLattice, boolean, chain, linear_sum, n5, product, two_by_chain
+from latkit import FiniteLattice, boolean, chain, cube3, linear_sum, m3, n5, product, two_by_chain
 from latkit.core import dual, transitive_closure
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.properties import (
@@ -159,3 +163,68 @@ def test_closure_matches_oracle(case):
         assert info.value.cycle == exc.cycle
     else:
         assert (transitive_closure(rel) == expected).all()
+
+
+# -- the isomorphism oracle ------------------------------------------------
+
+
+def test_cube_is_boolean():
+    assert oracles.oracle_find_isomorphism(cube3(), boolean(3)) == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_iso_identity_and_relabel():
+    L = n5()
+    assert oracles.oracle_find_isomorphism(L, L) == [0, 1, 2, 3, 4]
+    perm = [3, 0, 4, 2, 1]
+    R = L.relabel(perm)
+    f = oracles.oracle_find_isomorphism(L, R)
+    assert f is not None
+    for x in range(5):
+        for y in range(5):
+            assert L.le(x, y) == R.le(f[x], f[y])
+
+
+def test_iso_lex_least():
+    L = m3()
+    R = L.relabel([4, 2, 3, 1, 0])
+    f = oracles.oracle_find_isomorphism(L, R)
+    maps = []
+    for perm in itertools.permutations(range(5)):
+        if all(
+            L.le(x, y) == R.le(perm[x], perm[y])
+            for x in range(5)
+            for y in range(5)
+        ):
+            maps.append(list(perm))
+    assert f == min(maps)
+
+
+def test_iso_negative():
+    assert oracles.oracle_find_isomorphism(m3(), n5()) is None
+    assert oracles.oracle_find_isomorphism(chain(4), two_by_chain(2)) is None
+
+
+def test_iso_gadget_in_cube():
+    # the six-element sublattice of the cube generated by {x, y, y+z}
+    from latkit.subalgebra import generate_sublattice
+
+    C = cube3()
+    members = generate_sublattice(C, {4, 2, 3})
+    sub, _ = C.restrict(members)
+    assert oracles.oracle_find_isomorphism(sub, two_by_chain(3)) is not None
+
+
+def test_iso_symmetry(stream6):
+    rng = random.Random(11)
+    for L in rng.sample(stream6, 10):
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        R = L.relabel(perm)
+        f = oracles.oracle_find_isomorphism(L, R)
+        g = oracles.oracle_find_isomorphism(R, L)
+        assert f is not None and g is not None
+        # the maps need not invert each other, but both must be isos
+        for x in range(L.n):
+            for y in range(L.n):
+                assert L.le(x, y) == R.le(f[x], f[y])
+                assert R.le(x, y) == L.le(g[x], g[y])

@@ -8,7 +8,6 @@ from latkit import (
     chain,
     cube3,
     dual,
-    find_isomorphism,
     m3,
     n5,
     product,
@@ -26,7 +25,7 @@ from latkit.properties import (
     m3n5_crosscheck,
     whitman_w,
 )
-from oracles import embedding_is_valid
+from oracles import embedding_is_valid, oracle_find_isomorphism
 
 
 # -- independent oracles: plain full quantification, no early exits ------
@@ -90,7 +89,7 @@ def oracle_forbidden(L, pattern):
         ):
             continue
         sub, _ = L.restrict(members)
-        if find_isomorphism(P, sub) is not None:
+        if oracle_find_isomorphism(P, sub) is not None:
             return True
     return False
 
