@@ -11,8 +11,10 @@ chains.  Both sides are computed independently and must agree.
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .catalog import cube3, two_by_chain
-from .core import _dwn_of, canonical_form
+from .core import canonical_key, preserves_operations
 from .errors import (
     CounterexampleFound,
     InvariantViolated,
@@ -61,15 +63,10 @@ class GJVerdict:
         return self.distributive and self.dr_free and len(self.blocks) == 1
 
 
-def _key(L):
-    """Canonical mask key of L's order: equal keys mean isomorphic."""
-    return canonical_form(_dwn_of(L.leq))[0]
-
-
 # Reference keys, built once per process.  Bounded, because the key of
 # 2 x C_2048 holds 4,096 masks of 4,096 bits.
-_cube_key = lru_cache(maxsize=1)(lambda: _key(cube3()))
-_ladder_key = lru_cache(maxsize=32)(lambda m: _key(two_by_chain(m)))
+_cube_key = lru_cache(maxsize=1)(lambda: canonical_key(cube3()))
+_ladder_key = lru_cache(maxsize=32)(lambda m: canonical_key(two_by_chain(m)))
 
 
 def classify_block(L, block):
@@ -85,7 +82,7 @@ def classify_block(L, block):
     cube = sub.n == 8
     ladder = sub.n % 2 == 0 and sub.n >= 4 and sub.width() == 2
     if cube or ladder:
-        key = _key(sub)
+        key = canonical_key(sub)
         if cube and key == _cube_key():
             return "Cube"
         if ladder and key == _ladder_key(sub.n // 2):
@@ -116,79 +113,38 @@ def check_theorem(L):
     )
 
 
-def _rails(L, members):
-    """Coordinates of a subset known to be a sublattice iso to 2 x C_m.
+def _rail_map(L):
+    """The isomorphism of L onto two_by_chain(n // 2) read off its rails,
+    or None if L is not isomorphic to it.
 
-    The high rail is the up-set (within the subset) of the atom whose
-    up-set is a chain; ties (m = 2) break to the smaller index.  Returns
-    (low, high) rail lists or None if the subset is not ladder-shaped.
+    The high rail is the up-set of an atom with n/2 elements, the atom
+    of larger index first: in 2 x C_{n/2} only one atom qualifies once
+    n > 4, and at n = 4 either will do.  The low rail is the rest.  Each
+    rail is numbered by down-set size, and the map is kept only if it
+    preserves joins and meets.
     """
-    members = sorted(members)
-    size = len(members)
-    if size % 2 != 0 or size < 4:
+    m = L.n // 2
+    ups = (L.leq[a] for a in reversed(L.upper_covers[L.bottom]))
+    high = next((up for up in ups if up.sum() == m), None)
+    if L.n % 2 or high is None:
         return None
-    m = size // 2
-    bottom = next((x for x in members if all(L.le(x, y) for y in members)), None)
-    if bottom is None:
-        return None
-    atoms = [
-        x
-        for x in members
-        if x != bottom
-        and L.le(bottom, x)
-        and not any(
-            y not in (bottom, x) and L.le(y, x) and L.le(bottom, y)
-            for y in members
-        )
-    ]
-    if len(atoms) != 2:
-        return None
-
-    def upset_chain(atom):
-        ups = [y for y in members if L.le(atom, y)]
-        return ups if all(
-            L.le(a, b) or L.le(b, a) for a in ups for b in ups
-        ) else None
-
-    high = None
-    for atom in sorted(atoms):
-        ups = upset_chain(atom)
-        if ups is not None and len(ups) == m:
-            high = sorted(ups, key=lambda x: sum(L.le(y, x) for y in members))
-            break
-    if high is None:
-        return None
-    low = sorted(
-        (x for x in members if x not in set(high)),
-        key=lambda x: sum(L.le(y, x) for y in members),
-    )
-    if len(low) != m:
-        return None
-    for j in range(m):
-        if not L.le(low[j], high[j]):
-            return None
-        if j + 1 < m:
-            if not (L.le(low[j], low[j + 1]) and L.le(high[j], high[j + 1])):
-                return None
-            if not L.incomparable(low[j + 1], high[j]):
-                return None
-            if L.join(high[j], low[j + 1]) != high[j + 1]:
-                return None
-            if L.meet(high[j], low[j + 1]) != low[j]:
-                return None
-    return low, high
+    order = L.leq.sum(axis=0).argsort(kind="stable")
+    f = np.empty(L.n, dtype=int)
+    f[order[~high[order]]] = np.arange(m)
+    f[order[high[order]]] = np.arange(m, L.n)
+    return f.tolist() if preserves_operations(f, L, two_by_chain(m)) else None
 
 
 def constructive_iso_2xc(L):
     """Explicit isomorphism onto 2 x C_{n/2}, by the constructive proof.
 
     Preconditions (checked in order): modular, width exactly two, no
-    doubly reducible elements, linearly indecomposable.  For |L| <= 4
-    the map is direct; otherwise the lexicographically least gadget
-    (necessarily iso to 2 x 3 by modularity) is checked as the seed of
-    the proof's ladder.  That ladder absorbs every element of L, so the
-    rails are read off L itself, and the map is then checked against the
-    joins and meets of 2 x C_{n/2}.
+    doubly reducible elements, linearly indecomposable.  For |L| > 4 the
+    lexicographically least gadget (necessarily iso to 2 x 3 by
+    modularity) is checked as the seed of the proof's ladder.  That
+    ladder absorbs every element of L, so the rails are read off L
+    itself, and the map is checked against the joins and meets of
+    2 x C_{n/2}.
 
     Returns a list f with f[x] the image of x in two_by_chain(n // 2).
     """
@@ -200,40 +156,16 @@ def constructive_iso_2xc(L):
         raise PreconditionFailed("dr-free")
     if len(L.linear_decompose()) != 1:
         raise PreconditionFailed("indecomposable")
-
-    n = L.n
-    if n == 4:
-        mids = sorted(x for x in range(n) if x not in (L.bottom, L.top))
-        low = [L.bottom, mids[0]]
-        high = [mids[1], L.top]
-    else:
+    if L.n > 4:
         triple = next(iter_admissible_triples(L), None)
         if triple is None:
             raise NoGadget("no admissible triple in a lattice with > 4 elements")
-        a, b, c = triple
-        seed = generate_sublattice(L, {a, b, c})
-        if len(seed) != 6 or _rails(L, seed) is None:
+        seed, _ = L.restrict(generate_sublattice(L, triple))
+        if seed.n != 6 or _rail_map(seed) is None:
             raise InvariantViolated("gadget is not 2 x 3")
-        rails = _rails(L, range(n))
-        if rails is None:
-            raise InvariantViolated("lattice is not 2 x C")
-        low, high = rails
-
-    m = n // 2
-    f = [None] * n
-    for j, x in enumerate(low):
-        f[x] = j
-    for j, x in enumerate(high):
-        f[x] = m + j
-    target = two_by_chain(m)
-    if sorted(f) != list(range(n)):
-        raise InvariantViolated("rail map is not a bijection")
-    for x in range(n):
-        for y in range(n):
-            if f[L.join(x, y)] != target.join(f[x], f[y]):
-                raise PreconditionFailed("join-preservation")  # unreachable
-            if f[L.meet(x, y)] != target.meet(f[x], f[y]):
-                raise PreconditionFailed("meet-preservation")  # unreachable
+    f = _rail_map(L)
+    if f is None:
+        raise InvariantViolated("lattice is not 2 x C")
     return f
 
 
@@ -253,7 +185,7 @@ def verify_prop_width3(lattices, verdicts):
     for L, verdict in zip(lattices, verdicts):
         if verdict is not None and verdict.qualifies and L.width() == 3:
             qualifying += 1
-            if L.n != 8 or _key(L) != _cube_key():
+            if L.n != 8 or canonical_key(L) != _cube_key():
                 raise CounterexampleFound(
                     f"width-3 qualifier not isomorphic to the cube: {L!r}",
                     witness=L,

@@ -484,6 +484,17 @@ def first_hit(rows, width, test):
     return None
 
 
+def preserves_operations(f, A, B):
+    """Whether f, with f[x] in B the image of x in A, maps joins to
+    joins and meets to meets; one chunked scan of both tables."""
+    f = np.asarray(f)
+    for start, stop in chunk_ranges(A.n, A.n):
+        for a, b in ((A.join_table, B.join_table), (A.meet_table, B.meet_table)):
+            if (f[a[start:stop]] != b[f[start:stop, None], f]).any():
+                return False
+    return True
+
+
 def dual(L):
     """The order dual: joins and meets swap roles."""
     tables = L.meet_table, L.join_table  # frozen, so safe to share
@@ -600,12 +611,8 @@ def _dwn_of(leq):
 
 
 def canonical_key(L):
-    """A relabeling-invariant canonical form of the order matrix.
-
-    The key is the order matrix relabeled by the canonical permutation
-    of canonical_form, as a tuple of row tuples: key[a][b] is True iff
-    the element at canonical position a lies below the one at b.
-    Equal keys mean isomorphic.
-    """
-    perm = canonical_form(_dwn_of(L.leq))[1]
-    return tuple(map(tuple, L.leq[np.ix_(perm, perm)].tolist()))
+    """A relabeling-invariant canonical form of the order: the mask key
+    of canonical_form, in which key[a] has bit b set iff the element at
+    canonical position b lies below the one at a.  Equal keys mean
+    isomorphic."""
+    return canonical_form(_dwn_of(L.leq))[0]

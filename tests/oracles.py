@@ -7,10 +7,12 @@ recursive matching, and isomorphism by refinement and backtracking.
 Each returns what the library function returns, witness and error pair
 included.
 
-Also here are helpers only the tests use: join-cover refinement, the
-join primes, the list of admissible triples, the re-check of a
-forbidden-sublattice embedding, a boolean isomorphism test, and the
-block tags of the structure theorem by backtracking isomorphism.
+Also here are helpers only the tests use: the bits of a mask and the
+up-set masks of a poset (the census oracle's own), join-cover
+refinement, the join primes, the list of admissible triples, the
+re-check of a forbidden-sublattice embedding, a boolean isomorphism
+test, and the block tags of the structure theorem by backtracking
+isomorphism.
 """
 
 from itertools import combinations
@@ -19,7 +21,6 @@ import numpy as np
 
 from latkit.catalog import cube3, m3, n5, two_by_chain
 from latkit.core import _dwn_of, _neighbours, canonical_form, refine
-from latkit.enumeration import _bits, _ups_of
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.jonsson import _relation, min_join_covers
 from latkit.properties import PropertyReport
@@ -171,6 +172,23 @@ def find_forbidden(L, pattern):
                         bot, top = int(meet[x, y]), int(join[x, y])
                         return {0: bot, 1: x, 2: y, 3: z, 4: top}
     return None
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ups_of(dwn):
+    """Up-set masks of the poset with down-set masks dwn."""
+    n = len(dwn)
+    ups = [1 << i for i in range(n)]
+    for j in range(n):
+        for i in _bits(dwn[j]):
+            ups[i] |= 1 << j
+    return ups
 
 
 def labeled_lattices(n, prune_meets=None):

@@ -15,6 +15,7 @@ from latkit import (
     two_by_chain,
 )
 from latkit.classifier import (
+    _rail_map,
     check_theorem,
     classify_block,
     constructive_iso_2xc,
@@ -146,6 +147,22 @@ def test_constructive_iso_preconditions():
     with pytest.raises(PreconditionFailed) as info:
         constructive_iso_2xc(linear_sum(two_by_chain(2), two_by_chain(2)))
     assert info.value.name == "indecomposable"
+
+
+def test_rail_map_matches_oracle(stream9):
+    """_rail_map finds a map exactly when L is isomorphic to 2 x C_{n/2},
+    and the map it finds is an isomorphism."""
+    shuffled = [
+        two_by_chain(k).relabel(random.Random(k).sample(range(2 * k), 2 * k))
+        for k in range(2, 13)
+    ]
+    for L in list(stream9) + shuffled:
+        f = _rail_map(L)
+        target = two_by_chain(L.n // 2) if L.n % 2 == 0 else None
+        assert (f is not None) == (target is not None and oracle_find_isomorphism(L, target) is not None)
+        if f is not None:
+            assert sorted(f) == list(range(L.n))
+            assert all(L.le(x, y) == target.le(f[x], f[y]) for x in range(L.n) for y in range(L.n))
 
 
 def test_prop_width3_stream(stream9):

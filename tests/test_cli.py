@@ -193,20 +193,10 @@ def test_verify_gj_counts_disagreements(monkeypatch, capsys):
     assert len(calls) == 25  # the stream runs on past the disagreement
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enum", "--max-n", "4"],
-        ["scan", "conjecture1", "--max-n", "5"],
-        ["verify", "gj", "--max-n", "4"],
-        ["verify", "corpus", "--max-n", "4"],
-    ],
-)
-def test_json_flag_accepted_everywhere(argv, capsys):
-    assert run(argv) == 0
-    plain = capsys.readouterr().out
-    assert run(argv + ["--json"]) == 0
-    assert capsys.readouterr().out == plain
+def test_json_flag_only_on_free(n5_file, capsys):
+    """Only free changes format, so only free takes --json."""
+    assert run(["check", n5_file, "--property", "modular", "--json"]) == 2
+    assert "--json" in capsys.readouterr().err
 
 
 def test_render_matches_covers(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from latkit import chain, linear_sum, n5, two_by_chain
+from latkit import boolean, chain, linear_sum, m3, n5, product, two_by_chain
 from latkit.core import canonical_form
 from latkit.enumeration import (
     LATTICE_COUNTS,
@@ -120,6 +120,47 @@ def test_pockets_chain_prefix():
     assert failures == []
     assert [(p.zero, p.one) for p in pockets] == [(0, 1), (1, 2), (2, 6)]
     assert pockets[0].chain_a == ()
+
+
+POCKET_FAILURES = {
+    "m3": [
+        ("side-not-a-chain", 0, 4, 2, 3),
+        ("side-not-a-chain", 0, 4, 3, 2),
+        ("gap-not-a-chain", 1, 2),
+        ("uncovered-elements", (2, 3, 4)),
+    ],
+    "boolean3": [
+        ("bad-pocket-overlap", 3, 0, (0, 1)),
+        ("bad-pocket-overlap", 5, 0, (0, 4)),
+        ("bad-pocket-overlap", 6, 1, ()),
+        ("bad-pocket-overlap", 7, 2, (3, 7)),
+        ("bad-pocket-overlap", 7, 4, (6, 7)),
+        ("nonconsecutive-overlap", 0, 0, (0, 2)),
+        ("nonconsecutive-overlap", 0, 1, (1, 3)),
+        ("nonconsecutive-overlap", 0, 2, (2, 3)),
+        ("nonconsecutive-overlap", 0, 1, (1, 5)),
+        ("nonconsecutive-overlap", 0, 4, (4, 5)),
+        ("nonconsecutive-overlap", 0, 2, (2, 6)),
+        ("nonconsecutive-overlap", 0, 4, (4, 6)),
+        ("nonconsecutive-overlap", 1, 4, (5, 7)),
+    ],
+    "c3xc3": [
+        ("bad-pocket-overlap", 5, 3, (4,)),
+        ("nonconsecutive-overlap", 0, 3, (3, 4)),
+        ("nonconsecutive-overlap", 0, 4, (4,)),
+        ("nonconsecutive-overlap", 1, 4, (4, 5)),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,L",
+    [("m3", m3()), ("boolean3", boolean(3)), ("c3xc3", product(chain(3), chain(3)))],
+)
+def test_pocket_failures_pinned(name, L):
+    """The failure paths: witnesses on lattices that are not width-two
+    pocket chains, pinned as the decomposition reports them."""
+    assert pocket_decomposition(L)[1] == POCKET_FAILURES[name]
 
 
 def test_pocket_laws_revalidate(stream8):
