@@ -17,7 +17,6 @@ from .core import (
 from .catalog import (
     boolean,
     chain,
-    construct,
     cube3,
     linear_sum,
     m3,
@@ -56,7 +55,6 @@ __all__ = [
     "dual",
     "boolean",
     "chain",
-    "construct",
     "cube3",
     "linear_sum",
     "m3",

@@ -4,8 +4,6 @@ Product numbering is lexicographic: element (x1, x2) of product(L1, L2)
 gets index x1 * L2.n + x2.  boolean(k) numbers subsets by bitmask.
 """
 
-import re
-
 import numpy as np
 
 from .core import FiniteLattice, size_cap
@@ -83,50 +81,3 @@ def n5():
     """The pentagon: 0 < 1 < 3 < 4 on one side, 0 < 2 < 4 on the other."""
     return FiniteLattice.from_covers(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)])
 
-
-_CALL = re.compile(r"^([a-z_0-9]+)\s*(?:\((.*)\))?$", re.S)
-
-_NULLARY = {"cube3": cube3, "m3": m3, "n5": n5}
-_UNARY = {"chain": chain, "two_by_chain": two_by_chain, "boolean": boolean}
-_BINARY = {"product": product, "linear_sum": linear_sum}
-
-
-def _split_args(text):
-    parts, depth, start = [], 0, 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:pos])
-            start = pos + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
-
-
-def construct(spec):
-    """Build a catalog lattice from a spec string.
-
-    Examples: "m3", "chain(4)", "product(chain(2), chain(3))",
-    "linear_sum(cube3, two_by_chain(3))".
-    """
-    spec = spec.strip()
-    match = _CALL.match(spec)
-    if not match:
-        raise ValueError(f"bad construct spec: {spec!r}")
-    head, argtext = match.groups()
-    if argtext is None or argtext.strip() == "":
-        if head not in _NULLARY:
-            raise ValueError(f"unknown lattice name: {head!r}")
-        return _NULLARY[head]()
-    args = _split_args(argtext)
-    if head in _UNARY:
-        if len(args) != 1:
-            raise ValueError(f"{head} takes one argument")
-        return _UNARY[head](int(args[0]))
-    if head in _BINARY:
-        if len(args) != 2:
-            raise ValueError(f"{head} takes two arguments")
-        return _BINARY[head](construct(args[0]), construct(args[1]))
-    raise ValueError(f"unknown constructor: {head!r}")

@@ -23,6 +23,7 @@ from .enumeration import (
 )
 from .errors import (
     CounterexampleFound,
+    InvariantViolated,
     LatkitError,
     TheoremDisagreement,
 )
@@ -264,13 +265,16 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
+    except InvariantViolated as exc:  # a bug sentinel, never bad input
+        bug = exc
     except (LatkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        message = " ".join(str(exc).split())  # one line, whatever exc holds
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 3
+        bug = exc
+    message = " ".join(str(bug).split())  # one line, whatever bug holds
+    print(f"internal error: {type(bug).__name__}: {message}", file=sys.stderr)
+    return 3
 
 
 def main():

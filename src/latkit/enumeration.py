@@ -304,13 +304,13 @@ class ConjectureReport:
         }
 
 
-def conjecture1_scan(max_n, cap=DEFAULT_ENUM_CAP):
+def conjecture1_scan(max_n):
     """Finite shadow of the width-two conjecture: every width-two
     lattice satisfying (W) is reported with its semidistributivity
     status and pocket decomposition.  The scan never decides the
     conjecture; it only surfaces witnesses."""
     report = ConjectureReport()
-    for L in iter_lattices(max_n, cap=cap):
+    for L in iter_lattices(max_n):
         report.scanned += 1
         if L.width() != 2 or not whitman_w(L).verdict:
             continue

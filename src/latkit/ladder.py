@@ -19,21 +19,22 @@ configurations at a column:
           high-rail subdivision ((a+b)c > b, the seven-element picture).
 
 Ladder extraction follows the constructive proof: dedupe the witness
-chains by their join (dually meet) with the cover, taking the largest
+chain above the cover by its join with the cover, taking the largest
 index per value; complete the missing rail by choosing the least-index
-coatom (dually atom) of the prescribed interval; check the
-semidistributivity step (a'_{n+1} + (0,n)) * (1,0) = (0,0) at every
-rung.  Splitting assigns x to the B side iff x lies above some high
-rail element, checks both closure and the order property, and reports
-the size of the generated band H_x \\ H at two window radii; equal
-sizes are the finite surrogate for "H_x \\ H is finite".
+coatom of the prescribed interval; check the semidistributivity step
+(a'_{n+1} + (0,n)) * (1,0) = (0,0) at every rung.  The half below the
+cover is the same construction on the dual lattice.  Splitting assigns
+x to the B side iff x lies above some high rail element, checks both
+closure and the order property, and reports the size of the generated
+band H_x \\ H at two window radii; equal sizes are the finite
+surrogate for "H_x \\ H is finite".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, transitive_closure
+from .core import FiniteLattice, dual, transitive_closure
 from .errors import (
     BadAttachment,
     ChainExhausted,
@@ -211,19 +212,13 @@ def decorate(W, spec):
 
 
 def spanning_candidate(W, a, b):
-    """Window-relative stand-in for a spanning cover.
-
-    For a LadderWindow: true iff some boundary-column element above a is
-    incomparable to b and some boundary element below b is incomparable
-    to a (chains reaching those elements always exist).  A bare lattice
-    gives false: its top and bottom bound every chain and are comparable
-    to everything.
-    """
-    L = W.lattice if isinstance(W, LadderWindow) else W
+    """Window-relative stand-in for a spanning cover: true iff some
+    boundary-column element above a is incomparable to b and some
+    boundary element below b is incomparable to a (chains reaching those
+    elements always exist)."""
+    L = W.lattice
     if (a, b) not in set(L.covers):
         raise NotACover(f"{a} is not covered by {b}")
-    if not isinstance(W, LadderWindow):
-        return False
     k = W.radius
     up_targets = [W.rail(i, k) for i in range(2)]
     down_targets = [W.rail(i, -k) for i in range(2)]
@@ -236,14 +231,10 @@ def spanning_candidate(W, a, b):
     return up_ok and down_ok
 
 
-def natural_chains(W, a=None, b=None):
+def natural_chains(W, a, b):
     """The maximal witness chains through everything parallel to the
-    cover: ascending above a, descending below b."""
+    cover a < b: ascending above a, descending below b."""
     L = W.lattice
-    if a is None:
-        a = W.rail(0, 0)
-    if b is None:
-        b = W.rail(1, 0)
     up = sorted(
         (x for x in range(L.n) if x != a and L.le(a, x) and L.incomparable(x, b)),
         key=lambda x: L.heights[x],
@@ -291,72 +282,56 @@ def _dedupe_largest(values):
     return picks
 
 
-def _least_coatom(L, lo, hi):
-    """Least coatom of [lo, hi]: a lower cover of hi that lies above lo."""
-    return next((z for z in L.lower_covers[hi] if L.le(lo, z)), None)
+def _half(L, a, b, chain, step):
+    """One half of the ladder over the cover a < b of L: the selected
+    members of the ascending witness chain, the high rail above b and the
+    low rail above a, for rungs 1, 2, ...
 
-
-def _least_atom(L, lo, hi):
-    """Least atom of [lo, hi]: an upper cover of lo that lies below hi."""
-    return next((z for z in L.upper_covers[lo] if L.le(z, hi)), None)
-
-
-def extract_ladder(W, a, b, up_chain, down_chain):
-    """Build ladder coordinates from a spanning cover and witness chains.
-
-    Follows the proof's subsequence selection (largest index per join
-    value), rail completion by least-index coatoms/atoms, and the
-    semidistributivity step at every rung.  Decorated chain members with
-    duplicate join values are skipped, so the ladder threads through the
-    undecorated skeleton.
+    The half below the cover is this routine on dual(L) with the cover
+    b < a there: joins and meets swap, and so do the two rails.
     """
-    L = W.lattice if isinstance(W, LadderWindow) else W
-    if (a, b) not in set(L.covers):
-        raise NotACover(f"{a} is not covered by {b}")
-    for x in up_chain:
-        if not (L.le(a, x) and x != a and L.incomparable(x, b)):
-            raise ValueError(f"up-chain member {x} is not above {a} parallel to {b}")
+    for x in chain:
         # forced by the cover: x * b lies in the prime interval [a, b]
         if L.meet(x, b) != a:
             raise InvariantViolated(f"{x} * {b} is not {a} below a cover")
-    for x in down_chain:
-        if not (L.le(x, b) and x != b and L.incomparable(x, a)):
-            raise ValueError(f"down-chain member {x} is not below {b} parallel to {a}")
-        if L.join(x, a) != b:
-            raise InvariantViolated(f"{x} + {a} is not {b} above a cover")
-    if not up_chain or not down_chain:
-        raise ChainExhausted("need at least one element per witness chain")
+    picked = [chain[i] for i in _dedupe_largest([L.join(x, b) for x in chain])]
+    high = [L.join(x, b) for x in picked]
+    low = []
+    # low rail: least-index coatoms of [a'_n + (0,n-1), (1,n)]
+    for elem, top in zip(picked, high):
+        base = L.join(elem, low[-1] if low else a)
+        if L.meet(base, b) != a:
+            raise SplitObstruction(step, (elem, base))
+        # base <= top on an ascending chain, and base * b = a != top * b,
+        # so [base, top] has a coatom
+        low.append(next(z for z in L.lower_covers[top] if L.le(base, z)))
+    return picked, high, low
 
-    up_vals = [L.join(x, b) for x in up_chain]
-    down_vals = [L.meet(x, a) for x in down_chain]
-    a_sub = [up_chain[i] for i in _dedupe_largest(up_vals)]
-    b_sub = [down_chain[i] for i in _dedupe_largest(down_vals)]
+
+def extract_ladder(W, a, b):
+    """Build ladder coordinates from a cover a < b and its natural
+    witness chains.
+
+    Follows the proof's subsequence selection (largest index per join
+    value), rail completion by least-index coatoms, and the
+    semidistributivity step at every rung, on L above the cover and on
+    dual(L) below it.  Decorated chain members with duplicate join
+    values are skipped, so the ladder threads through the undecorated
+    skeleton.
+    """
+    L = W.lattice
+    if (a, b) not in set(L.covers):
+        raise NotACover(f"{a} is not covered by {b}")
+    up, down = natural_chains(W, a, b)
+    if not up or not down:
+        raise ChainExhausted("need at least one element per witness chain")
+    a_sub, up_high, up_low = _half(L, a, b, up, "sd-step")
+    b_sub, down_low, down_high = _half(dual(L), b, a, down, "sd-step-dual")
 
     coords = {(0, 0): a, (1, 0): b}
-    for idx, elem in enumerate(a_sub, start=1):
-        coords[(1, idx)] = L.join(elem, b)
-    for idx, elem in enumerate(b_sub, start=1):
-        coords[(0, -idx)] = L.meet(elem, a)
-
-    # positive low rail: coatoms of [a'_n + (0,n-1), (1,n)]
-    for idx, elem in enumerate(a_sub, start=1):
-        base = L.join(elem, coords[(0, idx - 1)])
-        if L.meet(base, b) != a:
-            raise SplitObstruction("sd-step", (elem, base))
-        coatom = _least_coatom(L, base, coords[(1, idx)])
-        if coatom is None:
-            raise ChainExhausted(f"no coatom below rung {idx}")
-        coords[(0, idx)] = coatom
-    # negative high rail, dually: atoms of [(0,-n), b'_n * (1,-(n-1))]
-    for idx, elem in enumerate(b_sub, start=1):
-        base = L.meet(elem, coords[(1, -(idx - 1))])
-        if L.join(base, a) != b:
-            raise SplitObstruction("sd-step-dual", (elem, base))
-        atom = _least_atom(L, coords[(0, -idx)], base)
-        if atom is None:
-            raise ChainExhausted(f"no atom above rung {-idx}")
-        coords[(1, -idx)] = atom
-
+    rails = ((1, 1, up_high), (0, -1, down_low), (0, 1, up_low), (1, -1, down_high))
+    for rail, sign, elems in rails:
+        coords.update({(rail, sign * j): e for j, e in enumerate(elems, start=1)})
     ladder = LadderCoords(
         coords=coords,
         neg=len(b_sub),
@@ -387,12 +362,12 @@ def prime_interval_exclusion_scan(W, ladder):
     """Elements realizing the pattern (0,m) < x < (1,n) with x parallel
     to (1,m) and to (0,n): impossible under (W) + SD, so any hit marks a
     hypothesis violation."""
-    L = W.lattice if isinstance(W, LadderWindow) else W
-    coords = ladder.coords
+    L = W.lattice
+    coords, elements = ladder.coords, ladder.elements
     hits = []
     span = range(-ladder.neg, ladder.pos + 1)
     for x in range(L.n):
-        if x in ladder.elements:
+        if x in elements:
             continue
         for m in span:
             for n in span:
@@ -482,8 +457,7 @@ def ladder_split(W, a=None, b=None):
         b = W.rail(1, 0)
     if not spanning_candidate(W, a, b):
         raise SplitObstruction("no-spanning-cover", (a, b))
-    up, down = natural_chains(W, a, b)
-    ladder = extract_ladder(W, a, b, up, down)
+    ladder = extract_ladder(W, a, b)
 
     hits = prime_interval_exclusion_scan(W, ladder)
     if hits:
@@ -508,8 +482,7 @@ def ladder_split(W, a=None, b=None):
     if W.decorations and ca is not None and cb is not None:
         wider = decorate(window(W.radius + 2), list(W.spec))
         wa, wb = wider.rail(*ca), wider.rail(*cb)
-        wup, wdown = natural_chains(wider, wa, wb)
-        wider_ladder = extract_ladder(wider, wa, wb, wup, wdown)
+        wider_ladder = extract_ladder(wider, wa, wb)
         wider_bands = _band_sizes(wider, wider_ladder)
     band_rows = tuple(
         (ident, size, wider_bands.get(ident, size))

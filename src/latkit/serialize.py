@@ -52,8 +52,8 @@ def save_lattice(L, path):
         handle.write("\n")
 
 
-def to_dot(L, graph_name="lattice"):
-    lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
+def to_dot(L):
+    lines = ["digraph lattice {", "  rankdir=BT;"]
     for x in range(L.n):
         label = L.name_of(x).replace('"', '\\"')
         lines.append(f'  n{x} [label="{label}"];')

@@ -335,7 +335,7 @@ def test_criterion_8_ladder_corpus():
         W = decorate(window(radius), spec)
         a, b = W.rail(0, 0), W.rail(1, 0)
         up, down = natural_chains(W, a, b)
-        ladder = extract_ladder(W, a, b, up, down)
+        ladder = extract_ladder(W, a, b)
         assert prime_interval_exclusion_scan(W, ladder) == []
         L = W.lattice
         assert list(ladder.up_selected) == _selection_oracle(

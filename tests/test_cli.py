@@ -76,6 +76,21 @@ def test_internal_error_exits_three(monkeypatch, n5_file, capsys):
     assert captured.err == "internal error: RuntimeError: table out of step second line\n"
 
 
+def test_bug_sentinel_exits_three(monkeypatch, n5_file, capsys):
+    """InvariantViolated is a LatkitError but signals a bug, not bad input."""
+    import latkit.cli
+    from latkit.errors import InvariantViolated
+
+    def broken(L):
+        raise InvariantViolated("forced")
+
+    monkeypatch.setattr(latkit.cli, "d_sequence", broken)
+    assert run(["dseq", n5_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: InvariantViolated: forced\n"
+
+
 def test_determinism_byte_identical(n5_file, capsys):
     run(["check", n5_file, "--property", "whitman"])
     first = capsys.readouterr().out

@@ -9,7 +9,6 @@ from latkit import (
     FiniteLattice,
     boolean,
     chain,
-    construct,
     cube3,
     canonical_key,
     dual,
@@ -284,20 +283,6 @@ def test_linear_sum_round_trip():
     L = linear_sum(m3(), n5())
     blocks = L.linear_decompose()
     assert [len(b.elements) for b in blocks] == [5, 5]
-
-
-# -- catalog ----------------------------------------------------------------
-
-
-def test_construct_strings():
-    assert construct("cube3").n == 8
-    assert construct("chain(4)").n == 4
-    L = construct("product(chain(2), chain(3))")
-    assert oracle_find_isomorphism(L, two_by_chain(3)) is not None
-    L = construct("linear_sum(chain(1), chain(1))")
-    assert oracle_find_isomorphism(L, chain(2)) is not None
-    with pytest.raises(ValueError):
-        construct("frobnicate(3)")
 
 
 # -- irreducibles -------------------------------------------------------------

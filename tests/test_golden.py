@@ -9,6 +9,7 @@ The files under tests/golden/ are the stdout of
     latkit verify gj --max-n 8
     latkit check FILE --property P     # every P, then dseq FILE, on CORPUS
     latkit ladder split SPEC --radius R  # LADDER_RUNS, in order
+    latkit ladder split SPEC --radius R [--a A --b B]  # LADDER_CORPUS_RUNS
     latkit classify FILE                 # on CLASSIFY_CORPUS
     latkit render FILE                   # on CORPUS
     latkit free leq S T [--json]         # FREE_PAIRS, then
@@ -42,7 +43,9 @@ from latkit import (
 )
 from latkit.cli import PROPERTIES, run
 from latkit.freeterm import Join, Meet, canonical, format_term, free_leq, random_term
+from latkit.ladder import decorate, window
 from latkit.subalgebra import flp_nine
+from test_acceptance import _split_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,6 +117,16 @@ LADDER_RUNS = [(r, None) for r in (2, 3, 4)] + [
     (3, {"insert": [{"case": case, "at": 0}]}) for case in (1, 2, 3)
 ]
 
+# (radius, spec, column j of the cover (0,j) < (1,j)): the acceptance
+# corpus at the central cover, then off-centre covers on both halves
+LADDER_CORPUS_RUNS = [(radius, spec, 0) for radius, spec in _split_corpus()] + [
+    (3, None, -2),
+    (4, {"insert": [{"case": 1, "at": 0}]}, -1),
+    (4, {"insert": [{"case": 2, "at": -2}]}, 2),
+    (4, {"insert": [{"case": 3, "at": 1}]}, 3),
+    (5, {"insert": [{"between": [[1, -2], [1, -1]], "id": "hi"}]}, -3),
+]
+
 
 def test_golden_check_and_dseq(tmp_path, capsys):
     out = []
@@ -126,16 +139,28 @@ def test_golden_check_and_dseq(tmp_path, capsys):
     assert "".join(out) == expected
 
 
-def test_golden_ladder_split(tmp_path, capsys):
+def _ladder_stdout(runs, tmp_path, capsys):
     out = []
-    for i, (radius, spec) in enumerate(LADDER_RUNS):
-        path = "none"
+    for i, (radius, spec, j) in enumerate(runs):
+        path, W = "none", window(radius)
         if spec is not None:
             path = str(tmp_path / f"spec{i}.json")
             Path(path).write_text(json.dumps(spec), encoding="utf-8")
-        out.append(_stdout(["ladder", "split", path, "--radius", str(radius)], capsys))
+            W = decorate(W, spec)
+        cover = ["--a", str(W.rail(0, j)), "--b", str(W.rail(1, j))] if j else []
+        out.append(_stdout(["ladder", "split", path, "--radius", str(radius), *cover], capsys))
+    return "".join(out)
+
+
+def test_golden_ladder_split(tmp_path, capsys):
     expected = (GOLDEN / "ladder_split.txt").read_text(encoding="utf-8")
-    assert "".join(out) == expected
+    runs = [(radius, spec, 0) for radius, spec in LADDER_RUNS]
+    assert _ladder_stdout(runs, tmp_path, capsys) == expected
+
+
+def test_golden_ladder_split_corpus(tmp_path, capsys):
+    expected = (GOLDEN / "ladder_split_corpus.txt").read_text(encoding="utf-8")
+    assert _ladder_stdout(LADDER_CORPUS_RUNS, tmp_path, capsys) == expected
 
 
 CLASSIFY_CORPUS = CORPUS + [

@@ -1,6 +1,6 @@
 import pytest
 
-from latkit import chain, cube3, two_by_chain
+from latkit import two_by_chain
 from latkit.errors import (
     BadAttachment,
     ChainExhausted,
@@ -157,10 +157,6 @@ def test_extend_case_bad_attachment():
 def test_spanning_examples():
     W = window(3)
     assert spanning_candidate(W, W.rail(0, 0), W.rail(1, 0))
-    C = cube3()
-    assert not any(spanning_candidate(C, u, v) for u, v in C.covers)
-    C5 = chain(5)
-    assert not any(spanning_candidate(C5, u, v) for u, v in C5.covers)
 
 
 def test_spanning_requires_cover():
@@ -183,8 +179,7 @@ def test_spanning_off_center_cover():
 def test_extract_natural_window():
     W = window(3)
     a, b = W.rail(0, 0), W.rail(1, 0)
-    up, down = natural_chains(W)
-    ladder = extract_ladder(W, a, b, up, down)
+    ladder = extract_ladder(W, a, b)
     assert ladder.elements == frozenset(range(W.n))
     assert (ladder.neg, ladder.pos) == (3, 3)
     for j in range(-3, 4):
@@ -197,10 +192,10 @@ def test_extract_redundant_chain_picks_largest_index():
     # must pick the rail element (largest index per value)
     W = decorate(window(4), {"insert": [{"between": [[0, 0], [0, 1]], "id": "b"}]})
     a, b = W.rail(0, 0), W.rail(1, 0)
-    up, down = natural_chains(W)
+    up, _ = natural_chains(W, a, b)
     bdec = dec_elem(W, "b")
     assert bdec in up
-    ladder = extract_ladder(W, a, b, up, down)
+    ladder = extract_ladder(W, a, b)
     assert bdec not in ladder.up_selected
     assert ladder.up_selected == tuple(W.rail(0, j) for j in range(1, 5))
     assert bdec not in ladder.elements
@@ -209,8 +204,7 @@ def test_extract_redundant_chain_picks_largest_index():
 def test_extract_decorated_skips_subdivision():
     W = decorate(window(3), {"insert": [{"between": [[0, 1], [0, 2]], "id": "s"}]})
     a, b = W.rail(0, 0), W.rail(1, 0)
-    up, down = natural_chains(W)
-    ladder = extract_ladder(W, a, b, up, down)
+    ladder = extract_ladder(W, a, b)
     assert dec_elem(W, "s") not in ladder.elements
     members = sorted(ladder.elements)
     sub, subset = W.lattice.restrict(members)
@@ -220,16 +214,16 @@ def test_extract_decorated_skips_subdivision():
 def test_extract_requires_cover_and_chains():
     W = window(2)
     with pytest.raises(NotACover):
-        extract_ladder(W, W.rail(0, 0), W.rail(1, 1), [], [])
+        extract_ladder(W, W.rail(0, 0), W.rail(1, 1))
+    # a boundary cover: nothing above (0,2) is parallel to (1,2)
     with pytest.raises(ChainExhausted):
-        extract_ladder(W, W.rail(0, 0), W.rail(1, 0), [], [])
+        extract_ladder(W, W.rail(0, 2), W.rail(1, 2))
 
 
 def test_extract_sd_invariant_holds():
     W = window(4)
     a, b = W.rail(0, 0), W.rail(1, 0)
-    up, down = natural_chains(W)
-    ladder = extract_ladder(W, a, b, up, down)
+    ladder = extract_ladder(W, a, b)
     L = W.lattice
     for idx, elem in enumerate(ladder.up_selected, start=1):
         base = L.join(elem, ladder.coords[(0, idx - 1)])
@@ -310,8 +304,7 @@ def test_prime_interval_exclusion_scan_clean():
         {"insert": [{"between": [[0, 1], [0, 2]], "id": "s"}]},
     ):
         W = decorate(window(3), spec)
-        up, down = natural_chains(W)
-        ladder = extract_ladder(W, W.rail(0, 0), W.rail(1, 0), up, down)
+        ladder = extract_ladder(W, W.rail(0, 0), W.rail(1, 0))
         assert prime_interval_exclusion_scan(W, ladder) == []
 
 
