@@ -40,7 +40,6 @@ from .freeterm import canonical, eval_term, format_term, free_leq
 from .freeterm import parse as parse_term
 from .ladder import (
     decorate,
-    extend_case,
     extract_ladder,
     ladder_split,
     spanning_candidate,
@@ -89,7 +88,6 @@ __all__ = [
     "free_leq",
     "parse_term",
     "decorate",
-    "extend_case",
     "extract_ladder",
     "ladder_split",
     "spanning_candidate",

@@ -159,6 +159,8 @@ def _cmd_scan(args):
 
 def _cmd_verify(args):
     if args.what == "gj":
+        if args.jobs != 1:
+            raise LatkitError("verify gj runs in one process; --jobs must be 1")
         checked = disagreements = 0
         for L in iter_lattices(args.max_n):
             try:

@@ -23,11 +23,11 @@ chain above the cover by its join with the cover, taking the largest
 index per value; complete the missing rail by choosing the least-index
 coatom of the prescribed interval; check the semidistributivity step
 (a'_{n+1} + (0,n)) * (1,0) = (0,0) at every rung.  The half below the
-cover is the same construction on the dual lattice.  Splitting assigns
-x to the B side iff x lies above some high rail element, checks both
-closure and the order property, and reports the size of the generated
-band H_x \\ H at two window radii; equal sizes are the finite
-surrogate for "H_x \\ H is finite".
+cover is the same construction on the dual lattice.  Splitting puts
+on the B side the principal filter of the lowest high rung, checks the
+order property, and reports the size of the generated band H_x \\ H
+at two window radii, mapping the cover into the wider window by its
+place; equal sizes are the finite surrogate for "H_x \\ H is finite".
 """
 
 from dataclasses import dataclass
@@ -289,6 +289,12 @@ def _half(L, a, b, chain, step):
 
     The half below the cover is this routine on dual(L) with the cover
     b < a there: joins and meets swap, and so do the two rails.
+
+    `step` cannot fire once L is SD, as ladder_split checks first.  Each x
+    has x * b = a.  The previous low rung l is a, or a coatom of
+    [base', x' + b] with a <= x' <= base', so l >= b would give l >= x' + b;
+    thus a <= l * b < b and l * b = a, and SD-meet gives (x + l) * b = a.
+    On dual(L) this is SD-join.  Direct extract_ladder calls keep the raise.
     """
     for x in chain:
         # forced by the cover: x * b lies in the prime interval [a, b]
@@ -344,15 +350,14 @@ def extract_ladder(W, a, b):
 
 
 def _verify_ladder(L, ladder):
-    coords = ladder.coords
+    """L orders the coordinates by the product order (one array test).  It
+    is antisymmetric, so two coordinates on one element fail the test."""
+    keys = np.array(list(ladder.coords))
+    E = list(ladder.coords.values())
+    bad = np.argwhere(L.leq[np.ix_(E, E)] != (keys[:, None] <= keys).all(axis=2))
+    if len(bad):
+        raise SplitObstruction("ladder-order-mismatch", (E[bad[0][0]], E[bad[0][1]]))
     elems = ladder.elements
-    if len(elems) != len(coords):
-        raise SplitObstruction("ladder-coordinates-collide", ladder)
-    for (i1, j1), e1 in coords.items():
-        for (i2, j2), e2 in coords.items():
-            expected = i1 <= i2 and j1 <= j2
-            if L.le(e1, e2) != expected:
-                raise SplitObstruction("ladder-order-mismatch", (e1, e2))
     closure = generate_sublattice(L, elems)
     if closure != elems:
         raise SplitObstruction("ladder-not-a-sublattice", tuple(sorted(closure - elems)))
@@ -409,19 +414,17 @@ class SplitReport:
 
 
 def _split_sides(L, ladder):
-    highs = [ladder.coords[(1, j)] for j in range(-ladder.neg, ladder.pos + 1)]
-    lows = [ladder.coords[(0, j)] for j in range(-ladder.neg, ladder.pos + 1)]
-    side_b = {x for x in range(L.n) if any(L.le(h, x) for h in highs)}
-    side_a = set(range(L.n)) - side_b
-    for low in lows:
-        if low in side_b:
-            raise SplitObstruction("low-rail-on-b-side", low)
-    for part, name in ((side_a, "A"), (side_b, "B")):
-        for x in part:
-            for y in part:
-                if L.join(x, y) not in part or L.meet(x, y) not in part:
-                    raise SplitObstruction(f"side-{name}-not-closed", (x, y))
-    return side_a, side_b
+    """A | B with B the elements above some high rung: by the verified order
+    the principal filter of h = (1, -neg).  A filter is closed under join
+    and meet, and holds no low rung, as h <= (0, j) fails in the product
+    order.  A = L - B is a down-set, so closed under meet; only A's joins
+    are tested."""
+    in_b = L.leq[ladder.coords[(1, -ladder.neg)]]
+    side_a = np.flatnonzero(~in_b)
+    bad = np.argwhere(in_b[L.join_table[np.ix_(side_a, side_a)]])
+    if len(bad):
+        raise SplitObstruction("side-A-not-closed", tuple(int(x) for x in side_a[bad[0]]))
+    return set(side_a.tolist()), set(np.flatnonzero(in_b).tolist())
 
 
 def _band_sizes(W, ladder):
@@ -478,16 +481,13 @@ def ladder_split(W, a=None, b=None):
 
     bands = _band_sizes(W, ladder)
     wider_bands = {}
-    ca, cb = W.coord.get(a), W.coord.get(b)
-    if W.decorations and ca is not None and cb is not None:
+    if W.decorations:
         wider = decorate(window(W.radius + 2), list(W.spec))
-        wa, wb = wider.rail(*ca), wider.rail(*cb)
-        wider_ladder = extract_ladder(wider, wa, wb)
-        wider_bands = _band_sizes(wider, wider_ladder)
-    band_rows = tuple(
-        (ident, size, wider_bands.get(ident, size))
-        for ident, size in sorted(bands.items())
-    )
+        by_id = {d.ident: d.element for d in wider.decorations}
+        place = {d.element: by_id[d.ident] for d in W.decorations}
+        place.update((e, wider.rail_elem[c]) for e, c in W.coord.items())
+        wider_bands = _band_sizes(wider, extract_ladder(wider, place[a], place[b]))
+    band_rows = tuple((ident, size, wider_bands[ident]) for ident, size in sorted(bands.items()))
     stable = all(size == wider for _, size, wider in band_rows)
 
     return SplitReport(
@@ -500,48 +500,3 @@ def ladder_split(W, a=None, b=None):
         stable=stable,
         window_radius=W.radius,
     )
-
-
-@dataclass(frozen=True)
-class ExtendCaseReport:
-    case: int
-    generated: tuple
-
-
-def extend_case(W, a, c, b_attach):
-    """Classify the gadget configuration of an attached element.
-
-    Requires {a, c} an antichain of rail elements with a covered by a+c
-    and ac covered by c along the rails, and b attached with ac covered
-    by b and b < c (b strictly below c; in the third case b is not a
-    lower cover of c).  Returns the case id and the generated
-    sublattice of {a, b, c}.
-    """
-    L = W.lattice
-    if a not in W.coord or c not in W.coord:
-        raise BadAttachment("a and c must be rail elements")
-    if not L.incomparable(a, c):
-        raise BadAttachment("{a, c} must be an antichain")
-    top, bot = L.join(a, c), L.meet(a, c)
-
-    def rail_cover(x, y):
-        (i1, j1), (i2, j2) = W.coord[x], W.coord[y]
-        return (i1 == i2 and j2 == j1 + 1) or (j1 == j2 and i1 == 0 and i2 == 1)
-
-    if top not in W.coord or not rail_cover(a, top):
-        raise BadAttachment("a must be covered by a+c inside the ladder")
-    if bot not in W.coord or not rail_cover(bot, c):
-        raise BadAttachment("ac must be covered by c inside the ladder")
-    b = b_attach
-    if b in (a, c) or not (L.le(bot, b) and b != bot and L.le(b, c) and b != c):
-        raise BadAttachment("b must lie strictly between ac and c")
-    if bot not in L.lower_covers[b]:
-        raise BadAttachment("ac must be covered by b")
-    generated = tuple(sorted(generate_sublattice(L, {a, b, c})))
-    if L.join(a, b) == top:
-        case = 1
-    elif L.meet(L.join(a, b), c) == b:
-        case = 2
-    else:
-        case = 3
-    return ExtendCaseReport(case=case, generated=generated)

@@ -185,6 +185,13 @@ def test_verify_gj_verb(capsys):
     assert payload["checked"] == 25
 
 
+def test_verify_gj_rejects_jobs(capsys):
+    assert run(["verify", "gj", "--max-n", "5", "--jobs", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
+    assert run(["verify", "gj", "--max-n", "5", "--jobs", "1"]) == 0
+
+
 def test_verify_gj_counts_disagreements(monkeypatch, capsys):
     import latkit.cli
     from latkit.errors import TheoremDisagreement
