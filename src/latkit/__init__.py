@@ -9,7 +9,6 @@ small lattices that doubles as a brute-force oracle.
 """
 
 from .core import (
-    Block,
     FiniteLattice,
     canonical_key,
     dual,
@@ -48,7 +47,6 @@ from .ladder import (
 from .enumeration import all_lattices, conjecture1_scan, iter_lattices, verify_corpus
 
 __all__ = [
-    "Block",
     "FiniteLattice",
     "canonical_key",
     "dual",

@@ -69,13 +69,12 @@ _cube_key = lru_cache(maxsize=1)(lambda: canonical_key(cube3()))
 _ladder_key = lru_cache(maxsize=32)(lambda m: canonical_key(two_by_chain(m)))
 
 
-def classify_block(L, block):
-    """Tag one linearly indecomposable block of L.
+def classify_block(L, members):
+    """Tag one linearly indecomposable block of L, given as its elements.
 
     Only a block that can match gets a canonical key: the cube has
     eight elements, and 2 x C_m has 2m >= 4 and width two.  The width
     gate keeps wide blocks such as M_k out of the canonical search."""
-    members = block.elements
     if len(members) == 1:
         return "Singleton"
     sub, _ = L.restrict(members)
@@ -96,8 +95,8 @@ def check_theorem(L):
     distributive = is_distributive(L).verdict
     dr_free = not L.doubly_reducibles()
     blocks = tuple(
-        TaggedBlock(b.elements, b.position, classify_block(L, b))
-        for b in L.linear_decompose()
+        TaggedBlock(members, pos, classify_block(L, members))
+        for pos, members in enumerate(L.linear_decompose())
     )
     shape_side = all(b.tag != "Other" for b in blocks)
     law_side = distributive and dr_free
@@ -169,18 +168,11 @@ def constructive_iso_2xc(L):
     return f
 
 
-@dataclass(frozen=True)
-class Width3Report:
-    scanned: int
-    qualifying: int
-
-
 def verify_prop_width3(lattices, verdicts):
-    """Indecomposable distributive DR-free width-3 lattices must all be
-    the cube; raises CounterexampleFound otherwise.  verdicts are the
-    check_theorem verdicts of the lattices in order; a None verdict (the
-    theorem check disagreed) does not qualify."""
-    lattices = list(lattices)
+    """How many lattices are indecomposable, distributive, DR-free and of
+    width 3; each must be the cube, else CounterexampleFound.  verdicts
+    are the check_theorem verdicts of the lattices in order; a None
+    verdict (the theorem check disagreed) does not qualify."""
     qualifying = 0
     for L, verdict in zip(lattices, verdicts):
         if verdict is not None and verdict.qualifies and L.width() == 3:
@@ -190,4 +182,4 @@ def verify_prop_width3(lattices, verdicts):
                     f"width-3 qualifier not isomorphic to the cube: {L!r}",
                     witness=L,
                 )
-    return Width3Report(scanned=len(lattices), qualifying=qualifying)
+    return qualifying

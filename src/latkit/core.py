@@ -12,7 +12,6 @@ elements for the checkers, so temporaries stay bounded at any size.
 """
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -29,6 +28,12 @@ def size_cap():
     return int(value) if value else DEFAULT_SIZE_CAP
 
 
+def check_size(n):
+    """Raise SizeCapExceeded if n elements exceed the cap."""
+    if n > size_cap():
+        raise SizeCapExceeded(f"{n} elements exceeds cap {size_cap()}")
+
+
 def parallel_map(fn, items, jobs, chunksize):
     """[fn(x) for x in items], spread over worker processes when jobs > 1;
     the output keeps the input order either way.  The pool has at most
@@ -43,14 +48,6 @@ def parallel_map(fn, items, jobs, chunksize):
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-@dataclass(frozen=True)
-class Block:
-    """One summand of a linear-sum decomposition."""
-
-    elements: tuple
-    position: int
-
-
 class FiniteLattice:
     """A finite lattice over elements 0..n-1.
 
@@ -61,8 +58,7 @@ class FiniteLattice:
     def __init__(self, leq, names=None, _validated=False, _tables=None):
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
-        if n > size_cap():
-            raise SizeCapExceeded(f"{n} elements exceeds cap {size_cap()}")
+        check_size(n)
         self.n = n
         self.leq = leq
         self.names = tuple(names) if names is not None else None
@@ -89,8 +85,7 @@ class FiniteLattice:
         """
         if n < 1:
             raise ValueError("need at least one element")
-        if n > size_cap():
-            raise SizeCapExceeded(f"{n} elements exceeds cap {size_cap()}")
+        check_size(n)
         rel = np.eye(n, dtype=bool)
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n):
@@ -281,32 +276,18 @@ class FiniteLattice:
 
     # -- linear-sum decomposition --------------------------------------
 
-    @cached_property
-    def cut_edges(self):
-        """Covers (u, v) with L = down(u) | up(v): valid linear-sum cuts.
-
-        Cutting anywhere else would leave a summand that is not closed
-        under join or meet, so these are exactly the lattice-sum seams.
-        """
-        n, leq = self.n, self.leq
-        cuts = []
-        for lo, hi in self.covers:
-            if int(leq[:, lo].sum()) + int(leq[hi].sum()) == n:
-                cuts.append((lo, hi))
-        cuts.sort(key=lambda p: self.heights[p[0]])
-        return tuple(cuts)
-
     def linear_decompose(self):
-        """Ordered blocks whose linear sum reconstructs the lattice."""
-        starts = [self.bottom] + [v for _, v in self.cut_edges]
-        ends = [u for u, _ in self.cut_edges] + [self.top]
-        blocks = []
-        for pos, (lo, hi) in enumerate(zip(starts, ends)):
-            members = tuple(
-                x for x in range(self.n) if self.leq[lo, x] and self.leq[x, hi]
-            )
-            blocks.append(Block(elements=members, position=pos))
-        return blocks
+        """Ordered blocks, as element tuples, whose linear sum reconstructs
+        the lattice.  The seams are the covers lo < hi with L = down(lo) |
+        up(hi): cutting anywhere else would leave a summand that is not
+        closed under join or meet.  Seams form a chain, so they sort by
+        |down(lo)|."""
+        leq = self.leq
+        below, above = leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist()
+        seams = sorted((below[lo], lo, hi) for lo, hi in self.covers if below[lo] + above[hi] == self.n)
+        starts = [self.bottom] + [hi for _, _, hi in seams]
+        ends = [lo for _, lo, _ in seams] + [self.top]
+        return [tuple(np.flatnonzero(leq[lo] & leq[:, hi]).tolist()) for lo, hi in zip(starts, ends)]
 
     def restrict(self, subset):
         """Induced lattice on a subset.  A join/meet-closed subset keeps
@@ -496,9 +477,12 @@ def preserves_operations(f, A, B):
 
 
 def dual(L):
-    """The order dual: joins and meets swap roles."""
+    """The order dual: joins and meets swap roles, and so do lower and
+    upper covers."""
     tables = L.meet_table, L.join_table  # frozen, so safe to share
-    return FiniteLattice(L.leq.T.copy(), names=L.names, _validated=True, _tables=tables)
+    D = FiniteLattice(L.leq.T.copy(), names=L.names, _validated=True, _tables=tables)
+    D.lower_covers, D.upper_covers = L.upper_covers, L.lower_covers
+    return D
 
 
 # -- isomorphism and canonical forms -----------------------------------
@@ -558,8 +542,6 @@ def canonical_form(dwn):
     element -> image) generate the whole automorphism group.
     """
     n = len(dwn)
-    if n == 0:
-        return (), (), []
     down, up = _neighbours(dwn)
     closed = [lower + [i] for i, lower in enumerate(down)]
     best, autos = [], []  # best = [key, perm, path]

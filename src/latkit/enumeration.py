@@ -111,8 +111,10 @@ def all_lattices(n, cap=DEFAULT_ENUM_CAP):
 
 
 def iter_lattices(max_n, cap=DEFAULT_ENUM_CAP):
-    for n in range(1, max_n + 1):
-        yield from all_lattices(n, cap=cap)
+    """All lattices with 1..max_n elements; checks max_n before any work."""
+    if max_n > cap:
+        raise SizeCapExceeded(f"{max_n} elements exceeds cap {cap}")
+    return (L for n in range(1, max_n + 1) for L in all_lattices(n, cap=cap))
 
 
 def _property_flags(payload):
@@ -391,9 +393,9 @@ def verify_corpus(max_n=9, jobs=1):
         "counts": {"computed": counts, "expected": expected, "pass": counts == expected},
         "m3n5": {"max_n": min(max_n, 8), "disagreements": m3n5, "pass": m3n5 == 0},
         "prop_width3": {
-            "scanned": width3.scanned,
-            "qualifying": width3.qualifying,
-            "pass": width3.qualifying == int(max_n >= 8),  # the cube has eight elements
+            "scanned": len(lattices),
+            "qualifying": width3,
+            "pass": width3 == int(max_n >= 8),  # the cube has eight elements
         },
         # 2 x C_k for k >= 2
         "prop_width2": {"instances": width2, "pass": width2 == max(top // 2 - 1, 0)},

@@ -38,15 +38,15 @@ p </= m.  So q is in B.
 
 An m with q <= m never serves, since then q v m = m.  So D is computed
 in one boolean pass over p and the pairs (q, m) with q_* <= m and
-q </= m, at most n |J| |M| steps, in row chunks; the dual side reads the
-transposed order and the meet table, so no dual lattice is built.
+q </= m, at most n |J| |M| steps, in row chunks; D of the dual is this
+pass on dual(L).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _masks, chunk_ranges
+from .core import _masks, chunk_ranges, dual
 
 
 def min_join_covers(L, x):
@@ -87,20 +87,17 @@ def min_join_covers(L, x):
     return covers
 
 
-def _d_relation(leq, join, below, mis):
-    """Bool matrix rel with rel[p, q] iff p D q, in the lattice with
-    order matrix leq and join table join.  below maps each
-    join-irreducible q to its lower cover q_*; mis lists the
-    meet-irreducibles."""
-    n = len(leq)
-    J = np.fromiter(below, dtype=np.intp, count=len(below))
-    lower = np.fromiter(below.values(), dtype=np.intp, count=len(below))
-    M = np.asarray(mis, dtype=np.intp)
+def _relation(L):
+    """Bool matrix rel with rel[p, q] iff p D q in L."""
+    leq, n = L.leq, L.n
+    J = np.asarray(L.join_irreducibles(), dtype=np.intp)
+    lower = np.asarray([L.lower_covers[q][0] for q in J.tolist()], dtype=np.intp)
+    M = np.asarray(L.meet_irreducibles(), dtype=np.intp)
     # the pairs (q, m) with q_* <= m and q </= m, grouped by q; every q
     # has one (a maximal element above q_* and not above q), so no group
     # is empty, as reduceat needs
     qi, mi = np.nonzero(leq[np.ix_(lower, M)] & ~leq[np.ix_(J, M)])
-    q_or_m, m = join[J[qi], M[mi]], M[mi]
+    q_or_m, m = L.join_table[J[qi], M[mi]], M[mi]
     starts = np.searchsorted(qi, np.arange(len(J)))
     rel = np.zeros((n, n), dtype=bool)
     for start, stop in chunk_ranges(n, max(1, len(qi))):
@@ -108,17 +105,6 @@ def _d_relation(leq, join, below, mis):
         witness = rows[:, q_or_m] & ~rows[:, m]
         rel[start:stop, J] = np.logical_or.reduceat(witness, starts, axis=1) & ~rows[:, J]
     return rel
-
-
-def _relation(L):
-    below = {q: L.lower_covers[q][0] for q in L.join_irreducibles()}
-    return _d_relation(L.leq, L.join_table, below, L.meet_irreducibles())
-
-
-def _dual_relation(L):
-    """D of the dual lattice: order, operations and irreducibles swapped."""
-    above = {q: L.upper_covers[q][0] for q in L.meet_irreducibles()}
-    return _d_relation(L.leq.T, L.meet_table, above, L.join_irreducibles())
 
 
 @dataclass(frozen=True)
@@ -143,11 +129,11 @@ class DSequence:
         }
 
 
-def _fixpoint(rel):
+def _layers(L):
     """D_0 <= D_1 <= ... from the D relation, until a layer repeats.
     D_0 is never empty (it holds the bottom), so it differs from the
     empty start."""
-    succ = _masks(rel)
+    succ = _masks(_relation(L))
     layers, inside = [], 0
     while True:
         nxt = sum(1 << p for p, s in enumerate(succ) if not s & ~inside)
@@ -158,14 +144,10 @@ def _fixpoint(rel):
     return [frozenset(p for p in range(len(succ)) if mask >> p & 1) for mask in layers]
 
 
-def _layers(L):
-    return _fixpoint(_relation(L))
-
-
 def d_sequence(L):
     """Compute D(L), its dual, and the quadrant verdict."""
     layers = _layers(L)
-    dual_layers = _fixpoint(_dual_relation(L))
+    dual_layers = _layers(dual(L))
     full = layers[-1]
     dual_full = dual_layers[-1]
     everything = frozenset(range(L.n))

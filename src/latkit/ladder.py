@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, dual, transitive_closure
+from .core import FiniteLattice, check_size, dual, transitive_closure
 from .errors import (
     BadAttachment,
     ChainExhausted,
@@ -82,6 +82,7 @@ def window(k):
     if k < 1:
         raise ValueError("radius must be >= 1")
     span = 2 * k + 1
+    check_size(2 * span)
 
     def idx(i, j):
         return i * span + (j + k)
@@ -103,6 +104,8 @@ def _expand_case(item, counter):
     case, at = item["case"], item.get("at")
     if type(at) is not int:
         raise BadAttachment(f"case insert needs an integer 'at': {item!r}")
+    if type(case) is not int or case not in (1, 2, 3):
+        raise BadAttachment(f"case must be 1, 2, or 3, got {case!r}")
     tag = item.get("id", f"d{counter}")
     low = [[0, at], [0, at + 1]]
     high = [[1, at], [1, at + 1]]
@@ -113,13 +116,11 @@ def _expand_case(item, counter):
             {"between": low, "id": f"{tag}:b"},
             {"between": high, "id": f"{tag}:x", "gt": [f"{tag}:b"]},
         ]
-    if case == 3:
-        return [
-            {"between": low, "id": f"{tag}:b"},
-            {"between": [f"{tag}:b", [0, at + 1]], "id": f"{tag}:y"},
-            {"between": high, "id": f"{tag}:x", "gt": [f"{tag}:y"]},
-        ]
-    raise BadAttachment(f"case must be 1, 2, or 3, got {case!r}")
+    return [
+        {"between": low, "id": f"{tag}:b"},
+        {"between": [f"{tag}:b", [0, at + 1]], "id": f"{tag}:y"},
+        {"between": high, "id": f"{tag}:x", "gt": [f"{tag}:y"]},
+    ]
 
 
 def _normalize_spec(spec, start=0):
@@ -172,6 +173,7 @@ def decorate(W, spec):
     base = W.lattice
     n_old = base.n
     total = n_old + len(items)
+    check_size(total)
     ident_to_elem = {d.ident: d.element for d in W.decorations}
 
     def resolve(anchor):
@@ -181,9 +183,11 @@ def decorate(W, spec):
             return ident_to_elem[anchor]
         try:
             rail, index = anchor
-            return W.rail_elem[(rail, index)]
+            if type(rail) is type(index) is int:  # JSON integers, not 0.0 or true
+                return W.rail_elem[(rail, index)]
         except (TypeError, ValueError, KeyError):
-            raise BadAttachment(f"anchor must be [rail, index] in the window or an id: {anchor!r}")
+            pass
+        raise BadAttachment(f"anchor must be [rail, index] in the window or an id: {anchor!r}")
 
     rel = np.eye(total, dtype=bool)
     rel[:n_old, :n_old] = base.leq
@@ -271,17 +275,6 @@ class LadderCoords:
         }
 
 
-def _dedupe_largest(values):
-    """Indices of the last occurrence of each successive distinct value."""
-    picks = []
-    for pos, value in enumerate(values):
-        if picks and values[picks[-1]] == value:
-            picks[-1] = pos
-        else:
-            picks.append(pos)
-    return picks
-
-
 def _half(L, a, b, chain, step):
     """One half of the ladder over the cover a < b of L: the selected
     members of the ascending witness chain, the high rail above b and the
@@ -300,8 +293,10 @@ def _half(L, a, b, chain, step):
         # forced by the cover: x * b lies in the prime interval [a, b]
         if L.meet(x, b) != a:
             raise InvariantViolated(f"{x} * {b} is not {a} below a cover")
-    picked = [chain[i] for i in _dedupe_largest([L.join(x, b) for x in chain])]
-    high = [L.join(x, b) for x in picked]
+    # x + b is monotone along the ascending chain, so equal values are
+    # adjacent; the dict keeps each value's last member, in chain order
+    tops = {L.join(x, b): x for x in chain}
+    picked, high = list(tops.values()), list(tops)
     low = []
     # low rail: least-index coatoms of [a'_n + (0,n-1), (1,n)]
     for elem, top in zip(picked, high):

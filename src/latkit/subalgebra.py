@@ -15,10 +15,10 @@ from .core import FiniteLattice, _leq_of, canonical_key, parallel_map, preserves
 from .errors import BadConfiguration, InvariantViolated, UniversalityFailure
 from .freeterm import eval_term, parse
 
-FLP_TERMS = {
+FLP_TERMS = {  # in the element order of flp_nine
     "AB": parse("A*B"),
-    "B": parse("B"),
     "AC": parse("A*C"),
+    "B": parse("B"),
     "AC+B": parse("A*C+B"),
     "A": parse("A"),
     "(A+B)C": parse("(A+B)*C"),
@@ -26,8 +26,6 @@ FLP_TERMS = {
     "A+B": parse("A+B"),
     "A+C": parse("A+C"),
 }
-
-_FLP_ORDER = ["AB", "AC", "B", "AC+B", "A", "(A+B)C", "C", "A+B", "A+C"]
 
 # Name map induced by order duality (B and C swap, joins and meets swap).
 FLP_DUALITY = {
@@ -50,8 +48,7 @@ def flp_nine():
     AC+B < (A+B)C, (A+B)C < A+B, (A+B)C < C, A < A+B, A+B < A+C,
     C < A+C.
     """
-    names = _FLP_ORDER
-    index = {name: i for i, name in enumerate(names)}
+    index = {name: i for i, name in enumerate(FLP_TERMS)}
     cover_names = [
         ("AB", "AC"),
         ("AB", "B"),
@@ -66,7 +63,7 @@ def flp_nine():
         ("C", "A+C"),
     ]
     covers = [(index[lo], index[hi]) for lo, hi in cover_names]
-    L = FiniteLattice.from_covers(9, covers, names=names)
+    L = FiniteLattice.from_covers(9, covers, names=list(FLP_TERMS))
     # transcription guard: the three generators must regenerate everything
     gen = generate_sublattice(L, {index["A"], index["B"], index["C"]})
     if gen != set(range(9)):
@@ -128,6 +125,13 @@ def iter_admissible_triples(L):
                         yield a, b, c
 
 
+def _flp_images(L, a, b, c):
+    """The images of the nine FL(P) elements, in FLP_TERMS order, under
+    A -> a, B -> b, C -> c."""
+    assignment = {"A": a, "B": b, "C": c}
+    return [eval_term(term, L, assignment) for term in FLP_TERMS.values()]
+
+
 def gadget(L, a, b, c):
     """Generate and fingerprint the gadget G(a; b, c)."""
     if len({a, b, c}) != 3:
@@ -138,16 +142,13 @@ def gadget(L, a, b, c):
         raise BadConfiguration("a || b")
     if not L.incomparable(a, c):
         raise BadConfiguration("a || c")
-    assignment = {"A": a, "B": b, "C": c}
-    images = {
-        name: eval_term(term, L, assignment) for name, term in FLP_TERMS.items()
-    }
+    images = _flp_images(L, a, b, c)
     generated = generate_sublattice(L, {a, b, c})
-    if generated != set(images.values()):
+    if generated != set(images):
         raise InvariantViolated("gadget closure beyond FL(P) images")
     by_image = {}
-    for name in _FLP_ORDER:
-        by_image.setdefault(images[name], []).append(name)
+    for name, image in zip(FLP_TERMS, images):
+        by_image.setdefault(image, []).append(name)
     fingerprint = tuple(
         sorted(tuple(sorted(block)) for block in by_image.values())
     )
@@ -161,32 +162,23 @@ def gadget(L, a, b, c):
     )
 
 
-@dataclass(frozen=True)
-class UniversalityReport:
-    triples_checked: int
-
-
 def verify_universal(L):
     """Check the universal property on every admissible triple of L.
 
     The generator assignment A->a, B->b, C->c must extend to a
     join/meet-preserving map of FL(P) onto the gadget; the extension is
     evaluation of the nine terms and uniqueness is forced on
-    generators.  Failure would indicate an implementation bug.
+    generators.  Failure would indicate an implementation bug.  Returns
+    the number of triples checked.
     """
     F = flp_nine()
-    index = {name: i for i, name in enumerate(F.names)}
     checked = 0
     for a, b, c in iter_admissible_triples(L):
-        assignment = {"A": a, "B": b, "C": c}
-        phi = [None] * 9
-        for name, term in FLP_TERMS.items():
-            phi[index[name]] = eval_term(term, L, assignment)
-        generated = generate_sublattice(L, {a, b, c})
-        if set(phi) != generated or not preserves_operations(phi, F, L):
+        phi = _flp_images(L, a, b, c)
+        if set(phi) != generate_sublattice(L, {a, b, c}) or not preserves_operations(phi, F, L):
             raise UniversalityFailure((a, b, c))
         checked += 1
-    return UniversalityReport(triples_checked=checked)
+    return checked
 
 
 @dataclass(frozen=True)

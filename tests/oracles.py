@@ -445,9 +445,9 @@ def is_isomorphic(L1, L2):
 def oracle_classify_block(L, block):
     """classifier.classify_block by backtracking isomorphism onto the
     cube and onto 2 x C_{n/2}."""
-    if len(block.elements) == 1:
+    if len(block) == 1:
         return "Singleton"
-    sub, _ = L.restrict(block.elements)
+    sub, _ = L.restrict(block)
     if is_isomorphic(sub, cube3()):
         return "Cube"
     if sub.n % 2 == 0 and sub.n >= 4 and is_isomorphic(sub, two_by_chain(sub.n // 2)):

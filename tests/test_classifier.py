@@ -166,20 +166,17 @@ def test_rail_map_matches_oracle(stream9):
 
 
 def test_prop_width3_stream(stream9):
-    report = verify_prop_width3(stream9, [check_theorem(L) for L in stream9])
-    assert report.qualifying == 1
+    assert verify_prop_width3(stream9, [check_theorem(L) for L in stream9]) == 1
 
 
 def test_prop_width3_includes_cube():
     lattices = [cube3()]
-    report = verify_prop_width3(lattices, [check_theorem(L) for L in lattices])
-    assert report.qualifying == 1
+    assert verify_prop_width3(lattices, [check_theorem(L) for L in lattices]) == 1
 
 
 def test_prop_width3_filters_width2():
     lattices = [two_by_chain(4)]
-    report = verify_prop_width3(lattices, [check_theorem(L) for L in lattices])
-    assert report.qualifying == 0
+    assert verify_prop_width3(lattices, [check_theorem(L) for L in lattices]) == 0
 
 
 def test_width2_finite_form(stream9):

@@ -257,32 +257,27 @@ def test_width_at_the_element_cap():
 
 
 def test_decompose_chain():
-    blocks = chain(3).linear_decompose()
-    assert [b.elements for b in blocks] == [(0,), (1,), (2,)]
-    assert [b.position for b in blocks] == [0, 1, 2]
+    assert chain(3).linear_decompose() == [(0,), (1,), (2,)]
 
 
 def test_decompose_cube_plus_chain():
     L = linear_sum(cube3(), chain(2))
-    blocks = [b.elements for b in L.linear_decompose()]
-    assert blocks == [tuple(range(8)), (8,), (9,)]
+    assert L.linear_decompose() == [tuple(range(8)), (8,), (9,)]
 
 
 def test_decompose_m3_single_block():
-    blocks = m3().linear_decompose()
-    assert len(blocks) == 1
-    assert blocks[0].elements == (0, 1, 2, 3, 4)
+    assert m3().linear_decompose() == [(0, 1, 2, 3, 4)]
 
 
 def test_decompose_matches_oracle(stream7):
     for L in stream7:
-        assert [b.elements for b in L.linear_decompose()] == brute_cut_blocks(L)
+        assert L.linear_decompose() == brute_cut_blocks(L)
 
 
 def test_linear_sum_round_trip():
     L = linear_sum(m3(), n5())
     blocks = L.linear_decompose()
-    assert [len(b.elements) for b in blocks] == [5, 5]
+    assert [len(b) for b in blocks] == [5, 5]
 
 
 # -- irreducibles -------------------------------------------------------------
@@ -378,10 +373,9 @@ def test_heights_and_tops():
 def test_linear_sum_decompose_round_trip_contents():
     L = linear_sum(m3(), n5())
     blocks = L.linear_decompose()
-    assert blocks[0].elements == tuple(range(5))
-    assert blocks[1].elements == tuple(range(5, 10))
-    left, _ = L.restrict(blocks[0].elements)
-    right, _ = L.restrict(blocks[1].elements)
+    assert blocks == [tuple(range(5)), tuple(range(5, 10))]
+    left, _ = L.restrict(blocks[0])
+    right, _ = L.restrict(blocks[1])
     assert oracle_find_isomorphism(left, m3()) is not None
     assert oracle_find_isomorphism(right, n5()) is not None
 
@@ -421,6 +415,11 @@ def test_canonical_key_diamonds_distinct():
     keys = [canonical_key(_diamond(k)) for k in range(3, 13)]
     assert len(set(keys)) == len(keys)
     assert canonical_key(_diamond(3)) == canonical_key(m3())
+
+
+def test_canonical_form_of_the_empty_poset():
+    # refinement leaves no cell to split, so the search is at its one leaf
+    assert canonical_form([]) == ((), (), [])
 
 
 def test_canonical_form_on_a_refinement_stable_poset():

@@ -1,11 +1,13 @@
 import pytest
 
 from latkit import boolean, chain, linear_sum, m3, n5, product, two_by_chain
+from latkit.cli import run
 from latkit.core import canonical_form
 from latkit.enumeration import (
     LATTICE_COUNTS,
     all_lattices,
     conjecture1_scan,
+    iter_lattices,
     pocket_decomposition,
     verify_corpus,
 )
@@ -83,6 +85,18 @@ def test_cap_enforced():
     with pytest.raises(SizeCapExceeded):
         all_lattices(0)
     assert len(all_lattices(10, cap=10)) == 5994
+
+
+def test_iter_lattices_checks_the_cap_first(monkeypatch, capsys):
+    def never(k):
+        raise AssertionError("a level was generated before the cap check")
+
+    monkeypatch.setattr("latkit.enumeration._semilattices", never)
+    with pytest.raises(SizeCapExceeded, match="10 elements exceeds cap 9"):
+        list(iter_lattices(10))
+    for argv in (["verify", "gj"], ["scan", "conjecture1"], ["gadget-census"]):
+        assert run(argv + ["--max-n", "10"]) == 2
+    assert capsys.readouterr().err.count("10 elements exceeds cap 9") == 3
 
 
 @pytest.mark.slow

@@ -7,13 +7,12 @@ import pytest
 import latkit.core
 from latkit import FiniteLattice, boolean, chain, dual, linear_sum, m3, n5, product, two_by_chain
 from latkit.jonsson import (
-    _dual_relation,
     _layers,
     _relation,
     d_sequence,
     min_join_covers,
 )
-from latkit.properties import is_distributive
+from latkit.properties import find_forbidden, is_distributive, is_semidistributive, whitman_w
 from oracles import (
     join_primes,
     oracle_d_layers,
@@ -141,13 +140,33 @@ def test_d_relation_matches_min_join_covers(stream9, monkeypatch, chunk):
     shapes = [product(chain(6), chain(8)), linear_sum(boolean(5), n5()), product(n5(), m3())]
     shuffled = [L.relabel(rng.sample(range(L.n), L.n)) for L in shapes]
     for L in stream9 + [two_by_chain(24), boolean(5), diamond(7)] + shapes + shuffled:
-        for rel, side in ((_relation(L), L), (_dual_relation(L), dual(L))):
+        for side in (L, dual(L)):
+            rel = _relation(side)
             for p in range(L.n):
                 members = {q for X in min_join_covers(side, p) for q in X}
                 assert set(rel[p].nonzero()[0].tolist()) == members
         assert _layers(L) == oracle_layers_from_covers(L)
         ds = d_sequence(L)
         assert [frozenset(layer) for layer in ds.dual_layers] == oracle_layers_from_covers(dual(L))
+
+
+def test_bounded_lattice_theorems(stream9):
+    """On the n <= 9 stream: bounded (quadrant (=,=)) implies SD (Day
+    1979); SD and (W) imply bounded (Nation 1982) and exclude M3.  The
+    per-n counts pin how often each holds."""
+    bounded, sd, sd_w = [0] * 9, [0] * 9, [0] * 9
+    for L in stream9:
+        is_bounded = d_sequence(L).quadrant == "(=,=)"
+        is_sd = is_semidistributive(L, "both").verdict
+        has_w = whitman_w(L).verdict
+        assert is_sd or not is_bounded, L
+        assert is_bounded or not (is_sd and has_w), L
+        assert find_forbidden(L, "M3") is None or not (is_sd and has_w), L
+        bounded[L.n - 1] += is_bounded
+        sd[L.n - 1] += is_sd
+        sd_w[L.n - 1] += is_sd and has_w
+    assert bounded == sd == [1, 1, 1, 2, 4, 9, 22, 60, 174]
+    assert sd_w == [1, 1, 1, 2, 4, 9, 21, 54, 142]
 
 
 def test_quadrants_cover_all_four(stream8):

@@ -8,6 +8,7 @@ from latkit.errors import (
     ChainExhausted,
     NotACover,
     NotALattice,
+    SizeCapExceeded,
     SplitObstruction,
 )
 from latkit.ladder import (
@@ -52,6 +53,17 @@ def test_window_one_is_two_by_three():
 def test_window_radius_validation():
     with pytest.raises(ValueError):
         window(0)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached after the size check should have failed")
+
+
+def test_window_checks_the_cap_before_building(monkeypatch):
+    monkeypatch.delenv("LATKIT_MAX_N", raising=False)
+    monkeypatch.setattr(FiniteLattice, "from_covers", _never)
+    with pytest.raises(SizeCapExceeded, match="4402 elements exceeds cap 4096"):
+        window(1100)
 
 
 # -- decoration ----------------------------------------------------------
@@ -113,6 +125,32 @@ def test_decorate_rejects_bad_anchor():
         decorate(window(2), {"insert": [{"between": [[1, 0], [0, 1]]}]})
     with pytest.raises(BadAttachment):
         decorate(window(2), {"insert": [{"between": [[0, 0], [0, 1]], "gt": ["ghost"]}]})
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"case": True, "at": 0},
+        {"case": 2.0, "at": 0},
+        {"between": [[0, 0.0], [True, 0]]},
+        {"between": [[0, 0], [1, 1]], "gt": [[0, 1.0]]},
+        {"between": [[0, 0], [1, 1]], "lt": [[False, 1]]},
+    ],
+)
+def test_decorate_spec_numbers_must_be_integers(item):
+    # JSON true and 2.0 compare equal to 1 and 2, but a spec names
+    # cases and coordinates by integers only, as lattice files do
+    with pytest.raises(BadAttachment):
+        decorate(window(2), {"insert": [item]})
+
+
+def test_decorate_checks_the_cap_before_allocating(monkeypatch):
+    W = window(2)
+    monkeypatch.setenv("LATKIT_MAX_N", "20")
+    monkeypatch.setattr("latkit.ladder.transitive_closure", _never)
+    spec = [{"between": [[0, -2], [1, 2]]} for _ in range(11)]
+    with pytest.raises(SizeCapExceeded, match="21 elements exceeds cap 20"):
+        decorate(W, spec)
 
 
 # -- extend_case -----------------------------------------------------------
