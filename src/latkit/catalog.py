@@ -6,8 +6,7 @@ gets index x1 * L2.n + x2.  boolean(k) numbers subsets by bitmask.
 
 import numpy as np
 
-from .core import FiniteLattice, size_cap
-from .errors import SizeCapExceeded
+from .core import FiniteLattice, check_size
 
 
 def chain(k):
@@ -20,8 +19,7 @@ def chain(k):
 def product(L1, L2):
     """Direct product with lexicographic numbering."""
     n = L1.n * L2.n
-    if n > size_cap():
-        raise SizeCapExceeded(f"product has {n} elements, cap {size_cap()}")
+    check_size(n)
     leq = np.kron(L1.leq, L2.leq).astype(bool)
     names = None
     if L1.names or L2.names:
@@ -36,8 +34,7 @@ def product(L1, L2):
 def linear_sum(L1, L2):
     """Stack L1 below L2: every element of L1 lies below all of L2."""
     n = L1.n + L2.n
-    if n > size_cap():
-        raise SizeCapExceeded(f"sum has {n} elements, cap {size_cap()}")
+    check_size(n)
     leq = np.zeros((n, n), dtype=bool)
     leq[: L1.n, : L1.n] = L1.leq
     leq[L1.n :, L1.n :] = L2.leq
@@ -58,8 +55,7 @@ def two_by_chain(k):
 def boolean(k):
     """The boolean lattice of subsets of {0..k-1}, numbered by bitmask."""
     n = 1 << k
-    if n > size_cap():
-        raise SizeCapExceeded(f"boolean({k}) has {n} elements, cap {size_cap()}")
+    check_size(n)
     masks = np.arange(n)
     leq = (masks[:, None] & ~masks[None, :]) == 0
     return FiniteLattice(leq, _validated=True)

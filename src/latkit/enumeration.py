@@ -21,6 +21,7 @@ bitmask of {j : j <= i}, i included.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -160,130 +161,98 @@ def pocket_decomposition(L):
     A pocket is an interval [zero, one] whose interior is two disjoint
     chains A and B with every cross pair incomparable, meeting at zero
     and joining at one.  Pocket boundaries are the inclusion-minimal
-    intervals [meet, join] of incomparable pairs: a pair inside a pocket
-    reproduces that pocket's boundary by the law, while pairs reaching
-    across pockets span a strictly larger interval.  Chain stretches
+    intervals [x ^ y, x v y] of incomparable pairs x, y.  Each contains a
+    candidate [m, x' v y'] for upper covers x' <= x and y' <= y of
+    m = x ^ y, which differ since otherwise x' <= x ^ y = m; and two
+    upper covers of m are themselves incomparable with meet m.  So the
+    minimal candidates are the minimal intervals.  Chain stretches
     between pockets become bare pockets with empty A and B.
     Consecutive pockets may share exactly {next zero, previous one}, a
     vertical edge or a single point; all other pocket pairs must be
     disjoint.  Returns (pockets, failures) with concrete witnesses.
     """
-    n = L.n
-    failures = []
+    leq, failures = L.leq, []
+
+    def interval(lo, hi):
+        return np.flatnonzero(leq[lo] & leq[:, hi]).tolist()
+
+    def members(pocket):
+        return {pocket.zero, pocket.one, *pocket.chain_a, *pocket.chain_b}
+
     bounds = {
-        (L.meet(x, y), L.join(x, y))
-        for x in range(n)
-        for y in range(x + 1, n)
-        if L.incomparable(x, y)
+        (m, L.join(x, y)) for m, ups in enumerate(L.upper_covers) for x, y in combinations(ups, 2)
     }
     minimal = sorted(
         (
             (m, j)
             for m, j in bounds
-            if not any(
-                (m2, j2) != (m, j) and L.le(m, m2) and L.le(j2, j)
-                for m2, j2 in bounds
-            )
+            if not any(leq[m, m2] and leq[j2, j] and (m2, j2) != (m, j) for m2, j2 in bounds)
         ),
         key=lambda mj: (L.heights[mj[0]], mj),
     )
     pockets = []
     for m, j in minimal:
-        interior = [
-            z for z in range(n) if z not in (m, j) and L.le(m, z) and L.le(z, j)
-        ]
-        side_a = [
-            z
-            for z in interior
-            if z == interior[0] or not L.incomparable(z, interior[0])
-        ]
+        before = len(failures)
+        interior = [z for z in interval(m, j) if z not in (m, j)]
+        first = interior[0]
+        side_a = [z for z in interior if leq[z, first] or leq[first, z]]
         side_b = [z for z in interior if z not in side_a]
-        ok = True
         for side in (side_a, side_b):
             for x in side:
                 for y in side:
                     if L.incomparable(x, y):
                         failures.append(("side-not-a-chain", m, j, x, y))
-                        ok = False
         for x in side_a:
             for y in side_b:
                 if not L.incomparable(x, y):
                     failures.append(("cross-pair-comparable", m, j, x, y))
-                    ok = False
                 elif L.meet(x, y) != m or L.join(x, y) != j:
                     failures.append(("pocket-law", m, j, x, y))
-                    ok = False
         if not side_b:
             failures.append(("one-sided-pocket", m, j))
-            ok = False
-        if ok:
-            pockets.append(
-                Pocket(m, j, tuple(sorted(side_a)), tuple(sorted(side_b)))
-            )
+        if len(failures) == before:
+            pockets.append(Pocket(m, j, tuple(side_a), tuple(side_b)))
 
     spine = []
 
     def add_links(lo, hi):
         """Chain stretch from lo up to hi becomes bare pockets."""
-        if lo == hi:
-            return
-        stretch = sorted(
-            (z for z in range(n) if L.le(lo, z) and L.le(z, hi)),
-            key=lambda z: L.heights[z],
-        )
+        stretch = sorted(interval(lo, hi), key=lambda z: L.heights[z])
         for a, b in zip(stretch, stretch[1:]):
-            if not L.le(a, b):
+            if not leq[a, b]:
                 failures.append(("gap-not-a-chain", a, b))
                 return
             spine.append(Pocket(a, b, (), ()))
 
-    previous = None
     for pocket in pockets:
-        if previous is None:
-            add_links(L.bottom, pocket.zero)
-        elif L.le(previous.one, pocket.zero):
-            add_links(previous.one, pocket.zero)
+        lo = spine[-1].one if spine else L.bottom  # the previous pocket's one, or bottom
+        if leq[lo, pocket.zero]:
+            add_links(lo, pocket.zero)
         else:
-            shared = _members(previous) & _members(pocket)
-            if shared != {previous.one, pocket.zero}:
-                failures.append(
-                    ("bad-pocket-overlap", previous.one, pocket.zero, tuple(sorted(shared)))
-                )
-            elif pocket.zero != previous.one:
-                between = [
-                    z
-                    for z in range(n)
-                    if L.le(pocket.zero, z)
-                    and L.le(z, previous.one)
-                    and z not in shared
-                ]
-                if between:
-                    failures.append(
-                        ("overlap-not-an-edge", pocket.zero, previous.one, tuple(between))
-                    )
+            shared = members(spine[-1]) & members(pocket)
+            between = [z for z in interval(pocket.zero, lo) if z not in shared]
+            if shared != {lo, pocket.zero}:
+                failures.append(("bad-pocket-overlap", lo, pocket.zero, tuple(sorted(shared))))
+            elif between:
+                failures.append(("overlap-not-an-edge", pocket.zero, lo, tuple(between)))
         spine.append(pocket)
-        previous = pocket
-    add_links(previous.one if previous else L.bottom, L.top)
+    add_links(spine[-1].one if spine else L.bottom, L.top)
 
-    for i, p in enumerate(spine):
-        for q in spine[i + 2 :]:
-            shared = _members(p) & _members(q)
-            if shared:
-                failures.append(
-                    ("nonconsecutive-overlap", p.zero, q.zero, tuple(sorted(shared)))
-                )
-
-    covered = set()
-    for pocket in spine:
-        covered.update(_members(pocket))
-    missing = sorted(set(range(n)) - covered)
+    holders = [[] for _ in range(L.n)]  # the spine positions holding each element
+    for i, pocket in enumerate(spine):
+        for e in members(pocket):
+            holders[e].append(i)
+    overlaps = {}
+    for e, held in enumerate(holders):
+        for i, k in combinations(held, 2):
+            overlaps.setdefault((i, k), []).append(e)
+    for (i, k), common in sorted(overlaps.items()):
+        if k > i + 1:
+            failures.append(("nonconsecutive-overlap", spine[i].zero, spine[k].zero, tuple(common)))
+    missing = tuple(e for e, held in enumerate(holders) if not held)
     if missing:
-        failures.append(("uncovered-elements", tuple(missing)))
+        failures.append(("uncovered-elements", missing))
     return spine, failures
-
-
-def _members(pocket):
-    return {pocket.zero, pocket.one} | set(pocket.chain_a) | set(pocket.chain_b)
 
 
 @dataclass

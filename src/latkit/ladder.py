@@ -40,6 +40,7 @@ from .errors import (
     ChainExhausted,
     InvariantViolated,
     NotACover,
+    SizeCapExceeded,
     SplitObstruction,
 )
 from .properties import is_semidistributive, whitman_w
@@ -442,6 +443,12 @@ def ladder_split(W, a=None, b=None):
     H_x \\ H against the same decoration in a window wider by 2.
     """
     L = W.lattice
+    wider = None
+    if W.decorations:  # property (2)'s window, built first so its cap check precedes the scans
+        try:
+            wider = decorate(window(W.radius + 2), list(W.spec))
+        except SizeCapExceeded as exc:
+            raise SizeCapExceeded(f"radius-{W.radius + 2} stability window: {exc}") from None
     w_report = whitman_w(L)
     if not w_report.verdict:
         raise SplitObstruction("whitman-fails", w_report.witness)
@@ -476,8 +483,7 @@ def ladder_split(W, a=None, b=None):
 
     bands = _band_sizes(W, ladder)
     wider_bands = {}
-    if W.decorations:
-        wider = decorate(window(W.radius + 2), list(W.spec))
+    if wider is not None:
         by_id = {d.ident: d.element for d in wider.decorations}
         place = {d.element: by_id[d.ident] for d in W.decorations}
         place.update((e, wider.rail_elem[c]) for e, c in W.coord.items())

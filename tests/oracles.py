@@ -3,7 +3,8 @@ checked against: dense bool-matmul closure and covers, the pairwise
 table build, the loop checkers and forbidden-sublattice search, the
 poset-filter lattice census, the all-subsets join-cover and D-layer
 definitions, the D-layers read off the minimal join covers, width by
-recursive matching, and isomorphism by refinement and backtracking.
+recursive matching, the minimal intervals of incomparable pairs, and
+isomorphism by refinement and backtracking.
 Each returns what the library function returns, witness and error pair
 included.
 
@@ -338,6 +339,21 @@ def oracle_layers_from_covers(L):
         layers.append(nxt)
         current = nxt
     return layers
+
+
+def oracle_minimal_bounds(L):
+    """The inclusion-minimal intervals [x ^ y, x v y] over all
+    incomparable pairs x, y: the pocket boundaries by definition."""
+    bounds = {
+        (L.meet(x, y), L.join(x, y))
+        for x, y in combinations(range(L.n), 2)
+        if L.incomparable(x, y)
+    }
+    return {
+        (m, j)
+        for m, j in bounds
+        if not any((m2, j2) != (m, j) and L.le(m, m2) and L.le(j2, j) for m2, j2 in bounds)
+    }
 
 
 def oracle_width(L):

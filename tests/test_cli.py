@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latkit import chain, cube3, linear_sum, m3, n5, save_lattice, two_by_chain
 from latkit.cli import run
+from latkit.properties import whitman_w
 from latkit.serialize import load_lattice, to_dot
 
 
@@ -285,6 +286,24 @@ def test_ladder_bad_inputs(tmp_path):
     ):
         spec.write_text(json.dumps(payload))
         assert run(["ladder", "split", str(spec)]) == 2, payload
+
+
+def test_ladder_stability_window_checks_the_cap_first(tmp_path, monkeypatch, capsys):
+    # a decorated split measures its bands again at radius + 2; that
+    # window's size is checked before the (W) and SD scans run
+    import latkit.ladder
+
+    scanned = []
+    monkeypatch.setattr(latkit.ladder, "whitman_w", lambda L: scanned.append(L) or whitman_w(L))
+    monkeypatch.setenv("LATKIT_MAX_N", "16")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"insert": [{"case": 1, "at": 0}]}))
+    assert run(["ladder", "split", str(spec), "--radius", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: radius-5 stability window: 22 elements exceeds cap 16\n"
+    assert scanned == []
+    assert run(["ladder", "split", "none", "--radius", "3"]) == 0
+    assert len(scanned) == 1
 
 
 def test_deeply_nested_json_exits_two(tmp_path, capsys):

@@ -141,6 +141,13 @@ def test_size_cap(monkeypatch):
     assert size_cap() == 10
     with pytest.raises(SizeCapExceeded):
         chain(11)
+    for build in (
+        lambda: product(chain(2), chain(6)),
+        lambda: linear_sum(chain(5), chain(6)),
+        lambda: boolean(4),
+    ):
+        with pytest.raises(SizeCapExceeded, match="exceeds cap 10"):
+            build()
 
 
 # -- join/meet ------------------------------------------------------------

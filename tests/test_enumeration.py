@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from latkit import boolean, chain, linear_sum, m3, n5, product, two_by_chain
@@ -13,7 +15,7 @@ from latkit.enumeration import (
 )
 from latkit.errors import CounterexampleFound, SizeCapExceeded
 from latkit.properties import whitman_w
-from oracles import oracle_find_isomorphism, oracle_lattice_census
+from oracles import oracle_find_isomorphism, oracle_lattice_census, oracle_minimal_bounds
 
 
 def test_counts_match_frozen():
@@ -126,6 +128,13 @@ def test_pockets_ladder_squares():
     assert failures == []
     assert [len(p.chain_a) + len(p.chain_b) for p in pockets] == [2, 2, 2]
     assert [(p.zero, p.one) for p in pockets] == [(0, 5), (1, 6), (2, 7)]
+    k = 2048  # n = 4096, the element cap
+    L = two_by_chain(k)
+    start = time.perf_counter()
+    pockets, failures = pocket_decomposition(L)
+    assert time.perf_counter() - start < 5
+    assert failures == []
+    assert [(p.zero, p.one) for p in pockets] == [(i, k + i + 1) for i in range(k - 1)]
 
 
 def test_pockets_chain_prefix():
@@ -175,6 +184,20 @@ def test_pocket_failures_pinned(name, L):
     """The failure paths: witnesses on lattices that are not width-two
     pocket chains, pinned as the decomposition reports them."""
     assert pocket_decomposition(L)[1] == POCKET_FAILURES[name]
+
+
+POCKET_CHECKS = ("side-not-a-chain", "cross-pair-comparable", "pocket-law", "one-sided-pocket")
+
+
+def test_pocket_intervals_match_the_oracle(stream9):
+    """The intervals taken from pairs of upper covers are the minimal
+    [x ^ y, x v y] over all incomparable pairs: each shows up as a
+    pocket with sides or in a failure of the per-pocket checks."""
+    for L in stream9:
+        pockets, failures = pocket_decomposition(L)
+        reported = {(p.zero, p.one) for p in pockets if p.chain_a or p.chain_b}
+        reported |= {(f[1], f[2]) for f in failures if f[0] in POCKET_CHECKS}
+        assert reported == oracle_minimal_bounds(L), L
 
 
 def test_pocket_laws_revalidate(stream8):
