@@ -113,6 +113,8 @@ def all_lattices(n, cap=DEFAULT_ENUM_CAP):
 
 def iter_lattices(max_n, cap=DEFAULT_ENUM_CAP):
     """All lattices with 1..max_n elements; checks max_n before any work."""
+    if max_n < 1:
+        raise SizeCapExceeded(f"max_n={max_n} is below 1")
     if max_n > cap:
         raise SizeCapExceeded(f"{max_n} elements exceeds cap {cap}")
     return (L for n in range(1, max_n + 1) for L in all_lattices(n, cap=cap))
@@ -170,6 +172,14 @@ def pocket_decomposition(L):
     Consecutive pockets may share exactly {next zero, previous one}, a
     vertical edge or a single point; all other pocket pairs must be
     disjoint.  Returns (pockets, failures) with concrete witnesses.
+
+    For a minimal [m, j], f its first interior element, A the interior
+    elements comparable to f and B the rest: an incomparable pair inside
+    has meet m and join j by minimality, so no interior element is
+    comparable to both (it would be <= m, >= j, or order them).  Hence A
+    is a chain, every cross pair is incomparable with meet m and join j,
+    and B holds one of the two upper covers of m that span [m, j].  So a
+    pocket is kept iff B is a chain.
     """
     leq, failures = L.leq, []
 
@@ -192,25 +202,15 @@ def pocket_decomposition(L):
     )
     pockets = []
     for m, j in minimal:
-        before = len(failures)
         interior = [z for z in interval(m, j) if z not in (m, j)]
         first = interior[0]
         side_a = [z for z in interior if leq[z, first] or leq[first, z]]
         side_b = [z for z in interior if z not in side_a]
-        for side in (side_a, side_b):
-            for x in side:
-                for y in side:
-                    if L.incomparable(x, y):
-                        failures.append(("side-not-a-chain", m, j, x, y))
-        for x in side_a:
-            for y in side_b:
-                if not L.incomparable(x, y):
-                    failures.append(("cross-pair-comparable", m, j, x, y))
-                elif L.meet(x, y) != m or L.join(x, y) != j:
-                    failures.append(("pocket-law", m, j, x, y))
-        if not side_b:
-            failures.append(("one-sided-pocket", m, j))
-        if len(failures) == before:
+        split = [
+            ("side-not-a-chain", m, j, x, y) for x in side_b for y in side_b if L.incomparable(x, y)
+        ]
+        failures.extend(split)
+        if not split:
             pockets.append(Pocket(m, j, tuple(side_a), tuple(side_b)))
 
     spine = []
@@ -229,12 +229,12 @@ def pocket_decomposition(L):
         if leq[lo, pocket.zero]:
             add_links(lo, pocket.zero)
         else:
+            # a pocket's members are its whole interval (links join elements
+            # consecutive in height order), so the shared set holds [zero, lo]
+            # and, if it is {lo, zero}, that is an edge or a point
             shared = members(spine[-1]) & members(pocket)
-            between = [z for z in interval(pocket.zero, lo) if z not in shared]
             if shared != {lo, pocket.zero}:
                 failures.append(("bad-pocket-overlap", lo, pocket.zero, tuple(sorted(shared))))
-            elif between:
-                failures.append(("overlap-not-an-edge", pocket.zero, lo, tuple(between)))
         spine.append(pocket)
     add_links(spine[-1].one if spine else L.bottom, L.top)
 
@@ -320,7 +320,7 @@ def verify_corpus(max_n=9, jobs=1):
 
     top = min(max_n, 9)
     lattices = list(iter_lattices(top))
-    counts = [0] * max(min(max_n, 7), 0)
+    counts = [0] * min(max_n, 7)
     verdicts = []
     m3n5 = theorem = universality = quadrant = 0  # failing lattices per section
     width2 = 0

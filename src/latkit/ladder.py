@@ -133,6 +133,8 @@ def _normalize_spec(spec, start=0):
     for counter, item in enumerate(items, start=start):
         if not isinstance(item, dict):
             raise BadAttachment(f"insert item must be an object: {item!r}")
+        if not isinstance(item.get("id", ""), str):
+            raise BadAttachment(f"decoration id must be a string: {item!r}")
         if "case" in item:
             out.extend(_expand_case(item, counter))
         elif "between" in item:
@@ -144,11 +146,7 @@ def _normalize_spec(spec, start=0):
                 if item.get(extra):
                     entry[extra] = item[extra]
             refs = [entry["between"], entry.get("gt", ()), entry.get("lt", ())]
-            if not (
-                isinstance(entry["id"], str)
-                and all(isinstance(r, (list, tuple)) for r in refs)
-                and len(entry["between"]) == 2
-            ):
+            if not all(isinstance(r, (list, tuple)) for r in refs) or len(entry["between"]) != 2:
                 raise BadAttachment(f"malformed insert item: {item!r}")
             out.append(entry)
         else:
@@ -216,38 +214,32 @@ def decorate(W, spec):
 # -- spanning covers ----------------------------------------------------
 
 
+def _parallel_rows(L, a, b):
+    """Rows of leq for the cover a < b: the x > a parallel to b and the
+    x < b parallel to a.  Neither holds a or b, as a < b."""
+    if not (0 <= a < L.n and b in L.upper_covers[a]):
+        raise NotACover(f"{a} is not covered by {b}")
+    leq = L.leq
+    return leq[a] & ~leq[b] & ~leq[:, b], leq[:, b] & ~leq[a] & ~leq[:, a]
+
+
 def spanning_candidate(W, a, b):
     """Window-relative stand-in for a spanning cover: true iff some
     boundary-column element above a is incomparable to b and some
     boundary element below b is incomparable to a (chains reaching those
     elements always exist)."""
-    L = W.lattice
-    if (a, b) not in set(L.covers):
-        raise NotACover(f"{a} is not covered by {b}")
+    up, down = _parallel_rows(W.lattice, a, b)
     k = W.radius
-    up_targets = [W.rail(i, k) for i in range(2)]
-    down_targets = [W.rail(i, -k) for i in range(2)]
-    up_ok = any(
-        L.le(a, t) and t != a and L.incomparable(t, b) for t in up_targets
-    )
-    down_ok = any(
-        L.le(t, b) and t != b and L.incomparable(t, a) for t in down_targets
-    )
-    return up_ok and down_ok
+    return any(up[W.rail(i, k)] for i in range(2)) and any(down[W.rail(i, -k)] for i in range(2))
 
 
 def natural_chains(W, a, b):
     """The maximal witness chains through everything parallel to the
     cover a < b: ascending above a, descending below b."""
     L = W.lattice
-    up = sorted(
-        (x for x in range(L.n) if x != a and L.le(a, x) and L.incomparable(x, b)),
-        key=lambda x: L.heights[x],
-    )
-    down = sorted(
-        (x for x in range(L.n) if x != b and L.le(x, b) and L.incomparable(x, a)),
-        key=lambda x: -L.heights[x],
-    )
+    up, down = (np.flatnonzero(row).tolist() for row in _parallel_rows(L, a, b))
+    up.sort(key=lambda x: L.heights[x])
+    down.sort(key=lambda x: -L.heights[x])
     for chain in (up, down):
         for u, v in zip(chain, chain[1:]):
             if not (L.le(u, v) or L.le(v, u)):
@@ -322,9 +314,7 @@ def extract_ladder(W, a, b):
     skeleton.
     """
     L = W.lattice
-    if (a, b) not in set(L.covers):
-        raise NotACover(f"{a} is not covered by {b}")
-    up, down = natural_chains(W, a, b)
+    up, down = natural_chains(W, a, b)  # raises NotACover
     if not up or not down:
         raise ChainExhausted("need at least one element per witness chain")
     a_sub, up_high, up_low = _half(L, a, b, up, "sd-step")
@@ -439,8 +429,9 @@ def ladder_split(W, a=None, b=None):
     Checks the theorem's hypotheses first: lattices that fail (W) or a
     semidistributive law are rejected with SplitObstruction, as are
     inputs where the partition cannot be completed.  Property (1) is
-    checked exhaustively; property (2) compares each decoration's band
-    H_x \\ H against the same decoration in a window wider by 2.
+    checked exhaustively on A and follows on B; property (2) compares
+    each decoration's band H_x \\ H against the same decoration in a
+    window wider by 2.
     """
     L = W.lattice
     wider = None
@@ -470,16 +461,15 @@ def ladder_split(W, a=None, b=None):
 
     side_a, side_b = _split_sides(L, ladder)
 
-    witnesses = []
-    span = range(-ladder.neg, ladder.pos + 1)
-    for x in sorted(side_b - ladder.elements):
-        for j in span:
-            if L.le(ladder.coords[(0, j)], x) and not L.le(ladder.coords[(1, j)], x):
-                witnesses.append((x, j, "B"))
-    for x in sorted(side_a - ladder.elements):
-        for j in span:
-            if L.le(x, ladder.coords[(1, j)]) and not L.le(x, ladder.coords[(0, j)]):
-                witnesses.append((x, j, "A"))
+    # property (1) on B needs no scan: x >= (1,-neg) and x >= (0,j) give
+    # x >= (0,j) v (1,-neg) = (1,j), as the verified ladder is a sublattice
+    # ordered as 2 x [-neg, pos]
+    witnesses = [
+        (x, j, "A")
+        for x in sorted(side_a - ladder.elements)
+        for j in range(-ladder.neg, ladder.pos + 1)
+        if L.le(x, ladder.coords[(1, j)]) and not L.le(x, ladder.coords[(0, j)])
+    ]
 
     bands = _band_sizes(W, ladder)
     wider_bands = {}

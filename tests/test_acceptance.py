@@ -346,6 +346,13 @@ def test_criterion_8_ladder_corpus():
         )
         rep = ladder_split(W)
         assert rep.ladder == ladder
+        # property (1) on B, which ladder_split derives instead of scanning
+        assert not [
+            (x, j)
+            for x in set(rep.side_b) - ladder.elements
+            for j in range(-ladder.neg, ladder.pos + 1)
+            if L.le(ladder.coords[(0, j)], x) and not L.le(ladder.coords[(1, j)], x)
+        ]
         for part in (rep.side_a, rep.side_b):
             members = set(part)
             for x in members:

@@ -281,6 +281,9 @@ def test_ladder_bad_inputs(tmp_path):
         {"insert": [{"between": 5}]},
         {"insert": [{"between": [[0, 0]]}]},
         {"insert": [{"between": [[0, 0], [0, 1]], "id": 7}]},
+        {"insert": [{"between": [[0, 0], [0, 1]], "id": None}]},
+        {"insert": [{"case": 1, "at": 0, "id": None}]},
+        {"insert": [{"case": 1, "at": 0, "id": [1, 2]}]},
         {"insert": [{"between": [[0, 0], [0, 1]], "gt": 1}]},
         {"insert": [{"between": [[0, [0]], [0, 1]]}]},
     ):

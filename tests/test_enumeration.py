@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_iter_lattices_checks_the_cap_first(monkeypatch, capsys):
     for argv in (["verify", "gj"], ["scan", "conjecture1"], ["gadget-census"]):
         assert run(argv + ["--max-n", "10"]) == 2
     assert capsys.readouterr().err.count("10 elements exceeds cap 9") == 3
+    with pytest.raises(SizeCapExceeded, match="max_n=-1 is below 1"):
+        iter_lattices(-1)
+    verbs = (
+        ["verify", "gj"],
+        ["verify", "corpus"],
+        ["scan", "conjecture1"],
+        ["gadget-census"],
+        ["enum"],
+    )
+    for argv in verbs:
+        assert run(argv + ["--max-n", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_n=0 is below 1\n" * len(verbs)
 
 
 @pytest.mark.slow
@@ -186,31 +199,36 @@ def test_pocket_failures_pinned(name, L):
     assert pocket_decomposition(L)[1] == POCKET_FAILURES[name]
 
 
-POCKET_CHECKS = ("side-not-a-chain", "cross-pair-comparable", "pocket-law", "one-sided-pocket")
-
-
 def test_pocket_intervals_match_the_oracle(stream9):
     """The intervals taken from pairs of upper covers are the minimal
     [x ^ y, x v y] over all incomparable pairs: each shows up as a
-    pocket with sides or in a failure of the per-pocket checks."""
+    pocket with sides or in a failure of the per-pocket check."""
     for L in stream9:
         pockets, failures = pocket_decomposition(L)
         reported = {(p.zero, p.one) for p in pockets if p.chain_a or p.chain_b}
-        reported |= {(f[1], f[2]) for f in failures if f[0] in POCKET_CHECKS}
+        reported |= {(f[1], f[2]) for f in failures if f[0] == "side-not-a-chain"}
         assert reported == oracle_minimal_bounds(L), L
 
 
-def test_pocket_laws_revalidate(stream8):
-    for L in stream8:
-        if L.width() != 2 or not whitman_w(L).verdict:
-            continue
+def test_pocket_laws_revalidate(stream9):
+    """What minimality proves of every pocket with sides, on every lattice:
+    A is a chain, B is not empty, and each cross pair is incomparable with
+    meet zero and join one.  Width-two (W) lattices decompose cleanly."""
+    for L in stream9:
         pockets, failures = pocket_decomposition(L)
-        assert failures == []
         for p in pockets:
+            if not (p.chain_a or p.chain_b):
+                continue
+            assert p.chain_b, (L, p)
+            for x, y in combinations(p.chain_a, 2):
+                assert not L.incomparable(x, y), (L, p)
             for a in p.chain_a:
                 for b in p.chain_b:
+                    assert L.incomparable(a, b), (L, p)
                     assert L.join(a, b) == p.one
                     assert L.meet(a, b) == p.zero
+        if L.width() == 2 and whitman_w(L).verdict:
+            assert failures == []
 
 
 def test_conjecture_scan():

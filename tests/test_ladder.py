@@ -252,6 +252,16 @@ def test_spanning_requires_cover():
         spanning_candidate(W, W.rail(0, 0), W.rail(1, 1))
 
 
+def test_cover_checks_reject_negative_indices():
+    # index -1 would wrap to the last decoration, which (0,1) covers
+    W = decorate(window(2), {"insert": [{"case": 1, "at": 0}]})
+    b = W.rail(0, 1)
+    assert b in W.lattice.upper_covers[W.n - 1]
+    for fn in (spanning_candidate, extract_ladder):
+        with pytest.raises(NotACover):
+            fn(W, -1, b)
+
+
 def test_spanning_off_center_cover():
     W = window(3)
     # (0,2) < (1,2) is a cover but the descending side cannot reach the
