@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import cube3, two_by_chain
-from .core import canonical_key, preserves_operations
+from .catalog import cube3
+from .core import canonical_key, first_hit
 from .errors import (
     CounterexampleFound,
     InvariantViolated,
@@ -63,29 +63,19 @@ class GJVerdict:
         return self.distributive and self.dr_free and len(self.blocks) == 1
 
 
-# Reference keys, built once per process.  Bounded, because the key of
-# 2 x C_2048 holds 4,096 masks of 4,096 bits.
 _cube_key = lru_cache(maxsize=1)(lambda: canonical_key(cube3()))
-_ladder_key = lru_cache(maxsize=32)(lambda m: canonical_key(two_by_chain(m)))
 
 
 def classify_block(L, members):
-    """Tag one linearly indecomposable block of L, given as its elements.
-
-    Only a block that can match gets a canonical key: the cube has
-    eight elements, and 2 x C_m has 2m >= 4 and width two.  The width
-    gate keeps wide blocks such as M_k out of the canonical search."""
+    """Tag one linearly indecomposable block of L, given as its elements:
+    the cube by its canonical key, 2 x C_m (even, width two) by its rail map."""
     if len(members) == 1:
         return "Singleton"
     sub, _ = L.restrict(members)
-    cube = sub.n == 8
-    ladder = sub.n % 2 == 0 and sub.n >= 4 and sub.width() == 2
-    if cube or ladder:
-        key = canonical_key(sub)
-        if cube and key == _cube_key():
-            return "Cube"
-        if ladder and key == _ladder_key(sub.n // 2):
-            return "TwoByChain"
+    if sub.n == 8 and canonical_key(sub) == _cube_key():
+        return "Cube"
+    if sub.n % 2 == 0 and sub.width() == 2 and _rail_map(sub) is not None:
+        return "TwoByChain"
     return "Other"
 
 
@@ -119,8 +109,9 @@ def _rail_map(L):
     The high rail is the up-set of an atom with n/2 elements, the atom
     of larger index first: in 2 x C_{n/2} only one atom qualifies once
     n > 4, and at n = 4 either will do.  The low rail is the rest.  Each
-    rail is numbered by down-set size, and the map is kept only if it
-    preserves joins and meets.
+    rail is numbered by down-set size, so f is a bijection, kept only if
+    it orders L as the product order of (rail, rung) = divmod(f, n // 2):
+    an order isomorphism between lattices is a lattice isomorphism.
     """
     m = L.n // 2
     ups = (L.leq[a] for a in reversed(L.upper_covers[L.bottom]))
@@ -131,7 +122,11 @@ def _rail_map(L):
     f = np.empty(L.n, dtype=int)
     f[order[~high[order]]] = np.arange(m)
     f[order[high[order]]] = np.arange(m, L.n)
-    return f.tolist() if preserves_operations(f, L, two_by_chain(m)) else None
+    rail, rung = divmod(f, m)
+    hit = first_hit(
+        L.n, L.n, lambda r: L.leq[r] != (rail[r, None] <= rail) & (rung[r, None] <= rung)
+    )
+    return f.tolist() if hit is None else None
 
 
 def constructive_iso_2xc(L):

@@ -135,11 +135,12 @@ def _cmd_enum(args):
         for L in iter_lattices(args.max_n, cap=args.cap)
         if args.width is None or L.width() == args.width
     ]
+    if args.emit:
+        os.makedirs(args.emit, exist_ok=True)
     emitted = 0
     for L in filter_lattices(pool, wanted, jobs=args.jobs):
         _dump(serialize.to_json_dict(L))
         if args.emit:
-            os.makedirs(args.emit, exist_ok=True)
             path = os.path.join(args.emit, f"lat_{L.n}_{emitted:05d}.json")
             serialize.save_lattice(L, path)
         emitted += 1

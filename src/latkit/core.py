@@ -16,15 +16,18 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import NotALattice, NotAPartialOrder, SizeCapExceeded
+from .errors import LatkitError, NotALattice, NotAPartialOrder, SizeCapExceeded
 
 DEFAULT_SIZE_CAP = 4096
 CHUNK = 1 << 13  # elements in one temporary array of a chunked scan
 
 
 def size_cap():
-    """Element cap; the LATKIT_MAX_N environment variable overrides it."""
+    """Element cap; the LATKIT_MAX_N environment variable, if set and not
+    empty, overrides it and must be an integer >= 1."""
     value = os.environ.get("LATKIT_MAX_N")
+    if value and not (value.strip().isdecimal() and int(value) >= 1):
+        raise LatkitError(f"LATKIT_MAX_N={value!r} is not an integer >= 1")
     return int(value) if value else DEFAULT_SIZE_CAP
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import two_by_chain
 from .core import FiniteLattice, check_size, dual, transitive_closure
 from .errors import (
     BadAttachment,
@@ -79,24 +80,16 @@ class LadderWindow:
 
 
 def window(k):
-    """The undecorated window 2 x {-k..k}."""
+    """The undecorated window 2 x {-k..k}: two_by_chain(2k + 1), whose
+    element i * (2k + 1) + j + k is (i, j)."""
     if k < 1:
         raise ValueError("radius must be >= 1")
     span = 2 * k + 1
     check_size(2 * span)
-
-    def idx(i, j):
-        return i * span + (j + k)
-
-    covers = []
-    for j in range(-k, k):
-        covers.append((idx(0, j), idx(0, j + 1)))
-        covers.append((idx(1, j), idx(1, j + 1)))
-    for j in range(-k, k + 1):
-        covers.append((idx(0, j), idx(1, j)))
-    names = [f"({i},{j})" for i in range(2) for j in range(-k, k + 1)]
-    lattice = FiniteLattice.from_covers(2 * span, covers, names=names)
-    coord = {idx(i, j): (i, j) for i in range(2) for j in range(-k, k + 1)}
+    L = two_by_chain(span)
+    coord = dict(enumerate((i, j) for i in range(2) for j in range(-k, k + 1)))
+    names = [f"({i},{j})" for i, j in coord.values()]
+    lattice = FiniteLattice(L.leq, names, _validated=True, _tables=(L.join_table, L.meet_table))
     return LadderWindow(k, lattice, coord, (), ())
 
 

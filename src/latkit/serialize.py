@@ -55,7 +55,7 @@ def save_lattice(L, path):
 def to_dot(L):
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for x in range(L.n):
-        label = L.name_of(x).replace('"', '\\"')
+        label = L.name_of(x).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{x} [label="{label}"];')
     by_height = {}
     for x in range(L.n):

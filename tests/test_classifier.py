@@ -14,6 +14,7 @@ from latkit import (
     product,
     two_by_chain,
 )
+from latkit import classifier
 from latkit.classifier import (
     _rail_map,
     check_theorem,
@@ -22,6 +23,7 @@ from latkit.classifier import (
     verify_prop_width3,
 )
 from latkit.errors import PreconditionFailed
+from latkit.ladder import decorate, window
 from latkit.properties import is_distributive, is_modular
 from oracles import oracle_classify_block, oracle_find_isomorphism
 
@@ -48,6 +50,16 @@ def test_classify_block_long_ladder():
     assert classify_block(L, block) == "TwoByChain"
 
 
+def test_classify_block_finds_ladders_without_a_canonical_search(monkeypatch):
+    def no_search(L):
+        raise AssertionError("canonical search on a ladder block")
+
+    monkeypatch.setattr(classifier, "canonical_key", no_search)
+    L = two_by_chain(512)
+    (block,) = L.linear_decompose()
+    assert classify_block(L, block) == "TwoByChain"
+
+
 def test_classify_block_wide_even_block_is_quick():
     # n = 102 is even, but width 100 keeps M_100 out of the canonical search
     L = _diamond(100)
@@ -57,6 +69,26 @@ def test_classify_block_wide_even_block_is_quick():
     assert time.perf_counter() - start < 1.0
 
 
+def _ladders_and_near_misses():
+    """2 x C_k for k = 2..16, plain and relabeled; even width-two
+    lattices, most of them near misses: windows decorated by two case
+    insertions or by one case-2 insertion (which gives a longer ladder),
+    and linear sums of two ladders; and C3 x C3."""
+    rng = random.Random(20)
+    ladders = [two_by_chain(k) for k in range(2, 17)]
+    ladders += [L.relabel(rng.sample(range(L.n), L.n)) for L in ladders]
+    specs = [[(2, 0)]] + [[(c, 0), (d, 1)] for c in (1, 2, 3) for d in (1, 2, 3)]
+    decorated = [
+        decorate(window(k), {"insert": [{"case": c, "at": at} for c, at in spec]}).lattice
+        for k in (2, 3)
+        for spec in specs
+    ]
+    sums = [linear_sum(two_by_chain(a), two_by_chain(b)) for a in (2, 3) for b in (2, 4)]
+    near = [L for L in decorated + sums if L.n % 2 == 0 and L.width() == 2]
+    assert len(near) >= 10
+    return ladders + near + [product(chain(3), chain(3))]
+
+
 def test_classify_block_matches_oracle(stream9):
     composites = [
         two_by_chain(24),
@@ -64,6 +96,7 @@ def test_classify_block_matches_oracle(stream9):
         linear_sum(cube3(), two_by_chain(6)),
         _diamond(7),
         product(chain(6), chain(8)),
+        *_ladders_and_near_misses(),
     ]
     rng = random.Random(7)
     shuffled = []
@@ -156,7 +189,7 @@ def test_rail_map_matches_oracle(stream9):
         two_by_chain(k).relabel(random.Random(k).sample(range(2 * k), 2 * k))
         for k in range(2, 13)
     ]
-    for L in list(stream9) + shuffled:
+    for L in list(stream9) + shuffled + _ladders_and_near_misses():
         f = _rail_map(L)
         target = two_by_chain(L.n // 2) if L.n % 2 == 0 else None
         assert (f is not None) == (target is not None and oracle_find_isomorphism(L, target) is not None)

@@ -247,6 +247,30 @@ def test_env_cap_respected(tmp_path, monkeypatch):
     assert run(["check", str(big), "--property", "modular"]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_invalid_env_cap_is_named(n5_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("LATKIT_MAX_N", value)
+    for argv in (
+        ["check", n5_file, "--property", "modular"],
+        ["ladder", "split", "none", "--radius", "2"],
+        ["enum", "--max-n", "3"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: LATKIT_MAX_N='{value}' is not an integer >= 1\n", argv
+
+
+def test_enum_emit_onto_a_file_prints_nothing(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["enum", "--max-n", "3", "--emit", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_enum_jobs_identical_output(capsys):
     assert run(["enum", "--max-n", "5", "--property", "whitman"]) == 0
     seq = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from math import comb
 
@@ -20,7 +21,7 @@ from latkit import (
 )
 from latkit import core
 from latkit.core import _orbit, canonical_form, parallel_map, size_cap
-from latkit.errors import NotALattice, NotAPartialOrder, SizeCapExceeded
+from latkit.errors import LatkitError, NotALattice, NotAPartialOrder, SizeCapExceeded
 from oracles import is_isomorphic, labeled_lattices, oracle_find_isomorphism, oracle_width
 
 
@@ -148,6 +149,15 @@ def test_size_cap(monkeypatch):
     ):
         with pytest.raises(SizeCapExceeded, match="exceeds cap 10"):
             build()
+    monkeypatch.setenv("LATKIT_MAX_N", "")
+    assert size_cap() == core.DEFAULT_SIZE_CAP
+    for value in ("abc", "0", "-3", "2.5", "+7"):
+        monkeypatch.setenv("LATKIT_MAX_N", value)
+        message = f"LATKIT_MAX_N='{re.escape(value)}' is not an integer >= 1"
+        with pytest.raises(LatkitError, match=message):
+            size_cap()
+        with pytest.raises(LatkitError, match=message):
+            chain(2)
 
 
 # -- join/meet ------------------------------------------------------------

@@ -50,6 +50,17 @@ def test_window_one_is_two_by_three():
     assert oracle_find_isomorphism(window(1).lattice, two_by_chain(3)) is not None
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_window_is_two_by_chain_in_product_numbering(k):
+    W, span = window(k), 2 * k + 1
+    assert (W.lattice.leq == two_by_chain(span).leq).all()
+    for i in range(2):
+        for j in range(-k, k + 1):
+            x = i * span + j + k
+            assert W.lattice.name_of(x) == f"({i},{j})"
+            assert W.coord[x] == (i, j) and W.rail(i, j) == x
+
+
 def test_window_radius_validation():
     with pytest.raises(ValueError):
         window(0)
@@ -62,6 +73,7 @@ def _never(*args, **kwargs):
 def test_window_checks_the_cap_before_building(monkeypatch):
     monkeypatch.delenv("LATKIT_MAX_N", raising=False)
     monkeypatch.setattr(FiniteLattice, "from_covers", _never)
+    monkeypatch.setattr("latkit.ladder.two_by_chain", _never)
     with pytest.raises(SizeCapExceeded, match="4402 elements exceeds cap 4096"):
         window(1100)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -64,3 +65,13 @@ def test_dot_contains_ranks_and_edges():
     assert "rank=same" in text
     for lo, hi in m3().covers:
         assert f"n{lo} -> n{hi};" in text
+
+
+def test_dot_escapes_backslashes_and_quotes():
+    names = ["a\\", 'b"', 'c\\"d', '\\"\\', "plain"]
+    L = FiniteLattice.from_covers(5, [(i, i + 1) for i in range(4)], names=names)
+    labels = re.findall(r"^  n\d+ \[label=(.*)\];$", to_dot(L), flags=re.M)
+    assert len(labels) == len(names)
+    for name, label in zip(names, labels):
+        assert re.fullmatch(r'"(?:[^"\\]|\\.)*"', label), label
+        assert re.sub(r"\\(.)", r"\1", label[1:-1]) == name
