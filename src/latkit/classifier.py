@@ -18,7 +18,6 @@ from .core import canonical_key, first_hit
 from .errors import (
     CounterexampleFound,
     InvariantViolated,
-    NoGadget,
     PreconditionFailed,
     TheoremDisagreement,
 )
@@ -137,7 +136,7 @@ def constructive_iso_2xc(L):
     lexicographically least gadget (necessarily iso to 2 x 3 by
     modularity) is checked as the seed of the proof's ladder.  That
     ladder absorbs every element of L, so the rails are read off L
-    itself, and the map is checked against the joins and meets of
+    itself, and the map is checked against the product order of
     2 x C_{n/2}.
 
     Returns a list f with f[x] the image of x in two_by_chain(n // 2).
@@ -152,8 +151,8 @@ def constructive_iso_2xc(L):
         raise PreconditionFailed("indecomposable")
     if L.n > 4:
         triple = next(iter_admissible_triples(L), None)
-        if triple is None:
-            raise NoGadget("no admissible triple in a lattice with > 4 elements")
+        if triple is None:  # the preconditions force one
+            raise InvariantViolated("no admissible triple in a lattice with > 4 elements")
         seed, _ = L.restrict(generate_sublattice(L, triple))
         if seed.n != 6 or _rail_map(seed) is None:
             raise InvariantViolated("gadget is not 2 x 3")

@@ -160,8 +160,6 @@ def _cmd_scan(args):
 
 def _cmd_verify(args):
     if args.what == "gj":
-        if args.jobs != 1:
-            raise LatkitError("verify gj runs in one process; --jobs must be 1")
         checked = disagreements = 0
         for L in iter_lattices(args.max_n):
             try:
@@ -173,7 +171,7 @@ def _cmd_verify(args):
         _dump({"checked": checked, "max_n": args.max_n, "pass": disagreements == 0})
         return 1 if disagreements else 0
     try:
-        report = verify_corpus(max_n=args.max_n, jobs=args.jobs)
+        report = verify_corpus(max_n=args.max_n)
     except CounterexampleFound as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
@@ -251,7 +249,6 @@ def build_parser():
     p = verb("verify", _cmd_verify, "exhaustive verification runs")
     p.add_argument("what", choices=("gj", "corpus"))
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = verb("render", _cmd_render, "emit DOT")
     p.add_argument("file")

@@ -293,10 +293,13 @@ class FiniteLattice:
         return [tuple(np.flatnonzero(leq[lo] & leq[:, hi]).tolist()) for lo, hi in zip(starts, ends)]
 
     def restrict(self, subset):
-        """Induced lattice on a subset.  A join/meet-closed subset keeps
-        this lattice's tables, renumbered; any other subset gets rebuilt
-        tables, which re-verify unique bounds."""
+        """Induced lattice on a subset: this lattice itself for all of
+        it.  A join/meet-closed subset keeps this lattice's tables,
+        renumbered; any other subset gets rebuilt tables, which re-verify
+        unique bounds."""
         subset = sorted(subset)
+        if subset == list(range(self.n)):
+            return self, subset
         idx = np.asarray(subset, dtype=int)
         cell = np.ix_(idx, idx)
         names = [self.name_of(x) for x in subset] if self.names else None
@@ -482,8 +485,8 @@ def preserves_operations(f, A, B):
 def dual(L):
     """The order dual: joins and meets swap roles, and so do lower and
     upper covers."""
-    tables = L.meet_table, L.join_table  # frozen, so safe to share
-    D = FiniteLattice(L.leq.T.copy(), names=L.names, _validated=True, _tables=tables)
+    tables = L.meet_table, L.join_table  # frozen, so safe to share, as is the view leq.T
+    D = FiniteLattice(L.leq.T, names=L.names, _validated=True, _tables=tables)
     D.lower_covers, D.upper_covers = L.upper_covers, L.lower_covers
     return D
 

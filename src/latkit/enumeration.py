@@ -307,7 +307,7 @@ def conjecture1_scan(max_n):
 # -- umbrella verification driver ---------------------------------------
 
 
-def verify_corpus(max_n=9, jobs=1):
+def verify_corpus(max_n=9):
     """Run every exhaustive acceptance check over one pass of the stream
     and aggregate pass/fail verdicts with witnesses.  Each lattice with
     n <= min(max_n, 9) is built once and goes to every section whose size
@@ -357,7 +357,7 @@ def verify_corpus(max_n=9, jobs=1):
     expected = list(LATTICE_COUNTS[: len(counts)])
     width3 = verify_prop_width3(lattices, verdicts)
     census_top = min(max_n, 8)
-    census = gadget_census((L for L in lattices if L.n <= census_top), jobs=jobs)
+    census = gadget_census(L for L in lattices if L.n <= census_top)
     report = {
         "counts": {"computed": counts, "expected": expected, "pass": counts == expected},
         "m3n5": {"max_n": min(max_n, 8), "disagreements": m3n5, "pass": m3n5 == 0},

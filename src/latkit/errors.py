@@ -74,10 +74,6 @@ class PreconditionFailed(LatkitError):
         super().__init__(f"precondition failed: {name}")
 
 
-class NoGadget(LatkitError):
-    """No admissible gadget triple exists."""
-
-
 class NotACover(LatkitError):
     """The given pair is not a covering pair."""
 

@@ -21,13 +21,14 @@ configurations at a column:
 Ladder extraction follows the constructive proof: dedupe the witness
 chain above the cover by its join with the cover, taking the largest
 index per value; complete the missing rail by choosing the least-index
-coatom of the prescribed interval; check the semidistributivity step
-(a'_{n+1} + (0,n)) * (1,0) = (0,0) at every rung.  The half below the
-cover is the same construction on the dual lattice.  Splitting puts
-on the B side the principal filter of the lowest high rung, checks the
-order property, and reports the size of the generated band H_x \\ H
-at two window radii, mapping the cover into the wider window by its
-place; equal sizes are the finite surrogate for "H_x \\ H is finite".
+coatom of the prescribed interval.  The half below the cover is the
+same construction on the dual lattice.  The construction proves that
+the result is a sublattice ordered as 2 x [-neg, pos] (see
+extract_ladder), so nothing is re-checked.  Splitting puts on the B
+side the principal filter of the lowest high rung, checks the order
+property, and reports the size of the generated band H_x \\ H at two
+window radii, mapping the cover into the wider window by its place;
+equal sizes are the finite surrogate for "H_x \\ H is finite".
 """
 
 from dataclasses import dataclass
@@ -261,19 +262,18 @@ class LadderCoords:
         }
 
 
-def _half(L, a, b, chain, step):
+def _half(L, a, b, chain):
     """One half of the ladder over the cover a < b of L: the selected
-    members of the ascending witness chain, the high rail above b and the
-    low rail above a, for rungs 1, 2, ...
+    members x_1 < x_2 < ... of the ascending witness chain, the high rail
+    h_n = x_n + b and the low rail l_n, for rungs 1, 2, ...
+
+    With l_0 = a and base_n = x_n + l_{n-1}, l_n is the least-index
+    coatom of [base_n, h_n].  It exists: base_n <= h_n, and base_n * b = a
+    (the SD step of extract_ladder's proof, which needs no SD) while
+    h_n * b = b.
 
     The half below the cover is this routine on dual(L) with the cover
     b < a there: joins and meets swap, and so do the two rails.
-
-    `step` cannot fire once L is SD, as ladder_split checks first.  Each x
-    has x * b = a.  The previous low rung l is a, or a coatom of
-    [base', x' + b] with a <= x' <= base', so l >= b would give l >= x' + b;
-    thus a <= l * b < b and l * b = a, and SD-meet gives (x + l) * b = a.
-    On dual(L) this is SD-join.  Direct extract_ladder calls keep the raise.
     """
     for x in chain:
         # forced by the cover: x * b lies in the prime interval [a, b]
@@ -284,13 +284,8 @@ def _half(L, a, b, chain, step):
     tops = {L.join(x, b): x for x in chain}
     picked, high = list(tops.values()), list(tops)
     low = []
-    # low rail: least-index coatoms of [a'_n + (0,n-1), (1,n)]
     for elem, top in zip(picked, high):
         base = L.join(elem, low[-1] if low else a)
-        if L.meet(base, b) != a:
-            raise SplitObstruction(step, (elem, base))
-        # base <= top on an ascending chain, and base * b = a != top * b,
-        # so [base, top] has a coatom
         low.append(next(z for z in L.lower_covers[top] if L.le(base, z)))
     return picked, high, low
 
@@ -300,46 +295,55 @@ def extract_ladder(W, a, b):
     witness chains.
 
     Follows the proof's subsequence selection (largest index per join
-    value), rail completion by least-index coatoms, and the
-    semidistributivity step at every rung, on L above the cover and on
-    dual(L) below it.  Decorated chain members with duplicate join
-    values are skipped, so the ladder threads through the undecorated
-    skeleton.
+    value) and rail completion by least-index coatoms, on L above the
+    cover and on dual(L) below it.  Decorated chain members with
+    duplicate join values are skipped, so the ladder threads through
+    the undecorated skeleton.
+
+    The result is a sublattice of L ordered as 2 x [-neg, pos], by the
+    construction alone: the proof uses neither SD nor (W).  In _half's
+    notation, l_j = (0, j) and h_j = (1, j) for every j:
+      1. l_n * b = a: l_n * b lies in [a, b] = {a, b}, as l_n >= x_n > a,
+         and l_n >= b would give l_n >= x_n + b = h_n, but l_n < h_n.
+      2. SD step, base_n * b = a.  For n >= 2, l_{n-1} >= a, l_{n-1} is
+         not <= b (it is >= x_{n-1}) and not >= b (by 1), so l_{n-1}
+         lies in the witness set, which natural_chains checked is a
+         chain.  So base_n is x_n or l_{n-1}, and every chain member
+         meets b in a.  For n = 1, base_1 = x_1.  Dually below.
+      3. l_n + b = h_n, as l_n >= x_n.  The high rail rises strictly
+         (one member per join value), so the low rail does: l_1 > a,
+         and l_n = l_{n-1} would give h_n = h_{n-1}.
+      4. For i > j >= 1, l_i * h_j lies in [l_j, h_j) by 1, and h_j
+         covers l_j, so it is l_j; l_i + h_j = l_i + b = h_i.  For
+         j = 0 this is 1 and 3.
+      5. Across the cover, j < 0: the duals of 1 and 3 give a + h_j = b
+         and a * h_j = l_j.  So for i >= 0, l_i * h_j = a * h_j = l_j
+         (l_i * b = a) and l_i + h_j = l_i + b = h_i.
+      6. For j < i <= 0 the result is the dual of 4.
+    Every other pair lies on one rail, or is l_i < h_j with i <= j.  So
+    the coordinates are closed under + and *, and these are the joins
+    and meets of 2 x [-neg, pos].  No two coordinates share an element
+    (the rails rise strictly, and l_i = h_j with i > j would make
+    l_i * h_j = l_i), so meets fix the order: the product order.
     """
     L = W.lattice
     up, down = natural_chains(W, a, b)  # raises NotACover
     if not up or not down:
         raise ChainExhausted("need at least one element per witness chain")
-    a_sub, up_high, up_low = _half(L, a, b, up, "sd-step")
-    b_sub, down_low, down_high = _half(dual(L), b, a, down, "sd-step-dual")
+    a_sub, up_high, up_low = _half(L, a, b, up)
+    b_sub, down_low, down_high = _half(dual(L), b, a, down)
 
     coords = {(0, 0): a, (1, 0): b}
     rails = ((1, 1, up_high), (0, -1, down_low), (0, 1, up_low), (1, -1, down_high))
     for rail, sign, elems in rails:
         coords.update({(rail, sign * j): e for j, e in enumerate(elems, start=1)})
-    ladder = LadderCoords(
+    return LadderCoords(
         coords=coords,
         neg=len(b_sub),
         pos=len(a_sub),
         up_selected=tuple(a_sub),
         down_selected=tuple(b_sub),
     )
-    _verify_ladder(L, ladder)
-    return ladder
-
-
-def _verify_ladder(L, ladder):
-    """L orders the coordinates by the product order (one array test).  It
-    is antisymmetric, so two coordinates on one element fail the test."""
-    keys = np.array(list(ladder.coords))
-    E = list(ladder.coords.values())
-    bad = np.argwhere(L.leq[np.ix_(E, E)] != (keys[:, None] <= keys).all(axis=2))
-    if len(bad):
-        raise SplitObstruction("ladder-order-mismatch", (E[bad[0][0]], E[bad[0][1]]))
-    elems = ladder.elements
-    closure = generate_sublattice(L, elems)
-    if closure != elems:
-        raise SplitObstruction("ladder-not-a-sublattice", tuple(sorted(closure - elems)))
 
 
 def prime_interval_exclusion_scan(W, ladder):
@@ -393,8 +397,8 @@ class SplitReport:
 
 
 def _split_sides(L, ladder):
-    """A | B with B the elements above some high rung: by the verified order
-    the principal filter of h = (1, -neg).  A filter is closed under join
+    """A | B with B the elements above some high rung: by the ladder's
+    order (proved in extract_ladder) the principal filter of h = (1, -neg).  A filter is closed under join
     and meet, and holds no low rung, as h <= (0, j) fails in the product
     order.  A = L - B is a down-set, so closed under meet; only A's joins
     are tested."""
@@ -455,7 +459,7 @@ def ladder_split(W, a=None, b=None):
     side_a, side_b = _split_sides(L, ladder)
 
     # property (1) on B needs no scan: x >= (1,-neg) and x >= (0,j) give
-    # x >= (0,j) v (1,-neg) = (1,j), as the verified ladder is a sublattice
+    # x >= (0,j) v (1,-neg) = (1,j), as the ladder is a sublattice
     # ordered as 2 x [-neg, pos]
     witnesses = [
         (x, j, "A")

@@ -4,7 +4,8 @@ table build, the loop checkers and forbidden-sublattice search, the
 poset-filter lattice census, the all-subsets join-cover and D-layer
 definitions, the D-layers read off the minimal join covers, width by
 recursive matching, the minimal intervals of incomparable pairs, and
-isomorphism by refinement and backtracking.
+isomorphism by refinement and backtracking, and the re-checks of a
+ladder that ladder.extract_ladder's docstring proves.
 Each returns what the library function returns, witness and error pair
 included.
 
@@ -469,3 +470,31 @@ def oracle_classify_block(L, block):
     if sub.n % 2 == 0 and sub.n >= 4 and is_isomorphic(sub, two_by_chain(sub.n // 2)):
         return "TwoByChain"
     return "Other"
+
+
+def ladder_defect(L, ladder):
+    """The first way the ladder coordinates fail what extract_ladder
+    proves, as (reason, witness), or None: the SD step base * b = a at
+    each rung above the cover a < b and its dual below, then the product
+    order of 2 x [-neg, pos] (antisymmetric, so two coordinates on one
+    element fail it), then closure under join and meet."""
+    coords = ladder.coords
+    a, b = coords[(0, 0)], coords[(1, 0)]
+    for n, x in enumerate(ladder.up_selected, start=1):
+        base = L.join(x, coords[(0, n - 1)])
+        if L.meet(base, b) != a:
+            return "sd-step", (x, base)
+    for n, y in enumerate(ladder.down_selected, start=1):
+        base = L.meet(y, coords[(1, 1 - n)])
+        if L.join(base, a) != b:
+            return "sd-step-dual", (y, base)
+    keys = np.array(list(coords))
+    E = list(coords.values())
+    bad = np.argwhere(L.leq[np.ix_(E, E)] != (keys[:, None] <= keys).all(axis=2))
+    if len(bad):
+        return "ladder-order-mismatch", (E[bad[0][0]], E[bad[0][1]])
+    elems = ladder.elements
+    reached = {op(x, y) for x in elems for y in elems for op in (L.join, L.meet)}
+    if reached != elems:
+        return "ladder-not-a-sublattice", tuple(sorted(reached - elems))
+    return None

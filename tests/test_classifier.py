@@ -60,6 +60,17 @@ def test_classify_block_finds_ladders_without_a_canonical_search(monkeypatch):
     assert classify_block(L, block) == "TwoByChain"
 
 
+def test_classify_block_of_the_whole_lattice_builds_no_lattice(monkeypatch):
+    L = two_by_chain(512)
+    (block,) = L.linear_decompose()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(FiniteLattice, "__init__", no_build)
+    assert classify_block(L, block) == "TwoByChain"
+
+
 def test_classify_block_wide_even_block_is_quick():
     # n = 102 is even, but width 100 keeps M_100 out of the canonical search
     L = _diamond(100)

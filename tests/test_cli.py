@@ -187,10 +187,22 @@ def test_verify_gj_verb(capsys):
 
 
 def test_verify_gj_rejects_jobs(capsys):
-    assert run(["verify", "gj", "--max-n", "5", "--jobs", "4"]) == 2
+    # neither action has a --jobs option, not even --jobs 1
+    for what, jobs in (("gj", "4"), ("gj", "1"), ("corpus", "2")):
+        assert run(["verify", what, "--max-n", "5", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs" in captured.err
+
+
+def test_verify_corpus_missing_gadget_is_a_bug(monkeypatch, capsys):
+    import latkit.classifier
+
+    monkeypatch.setattr(latkit.classifier, "iter_admissible_triples", lambda L: iter(()))
+    assert run(["verify", "corpus", "--max-n", "6"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "--jobs" in captured.err
-    assert run(["verify", "gj", "--max-n", "5", "--jobs", "1"]) == 0
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InvariantViolated: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_gj_counts_disagreements(monkeypatch, capsys):
@@ -284,6 +296,14 @@ def test_verify_corpus_verb(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
     assert payload["counts"]["computed"] == [1, 1, 1, 2, 5]
+
+
+def test_ladder_split_boundary_cover_is_not_spanning(capsys):
+    # (0,2) < (1,2) is the top cover of the radius-2 window
+    assert run(["ladder", "split", "none", "--radius", "2", "--a", "4", "--b", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ladder split obstruction (no-spanning-cover): (4, 9)\n"
 
 
 def test_gadget_out_of_range(tmp_path):

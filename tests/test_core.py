@@ -4,6 +4,7 @@ import re
 import time
 from math import comb
 
+import numpy as np
 import pytest
 
 from latkit import (
@@ -377,6 +378,24 @@ def test_dual_swaps_tables():
         for y in range(L.n):
             assert L.join(x, y) == D.meet(x, y)
             assert L.meet(x, y) == D.join(x, y)
+
+
+def test_dual_shares_the_order_matrix():
+    L = boolean(3).relabel([3, 0, 6, 1, 7, 2, 5, 4])
+    D = dual(L)
+    assert np.shares_memory(D.leq, L.leq)
+    assert not D.leq.flags.writeable
+    assert (D.leq == L.leq.T).all()
+    assert (dual(D).leq == L.leq).all()
+    assert D.covers == tuple(sorted((y, x) for x, y in L.covers))
+
+
+def test_restrict_to_everything_is_the_lattice_itself():
+    L = n5()
+    assert L.restrict(range(L.n)) == (L, list(range(L.n)))
+    assert L.restrict([4, 0, 3, 1, 2]) == (L, [0, 1, 2, 3, 4])
+    # n elements with a repeat and a gap are not the whole lattice
+    assert L.restrict([0, 1, 1, 3, 4])[0] is not L
 
 
 def test_heights_and_tops():

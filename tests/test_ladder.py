@@ -1,8 +1,9 @@
+import random
 from dataclasses import dataclass, replace
 
 import pytest
 
-from latkit import FiniteLattice, two_by_chain
+from latkit import FiniteLattice, m3, two_by_chain
 from latkit.errors import (
     BadAttachment,
     ChainExhausted,
@@ -15,7 +16,6 @@ from latkit.ladder import (
     LadderWindow,
     _band_sizes,
     _split_sides,
-    _verify_ladder,
     decorate,
     extract_ladder,
     ladder_split,
@@ -27,7 +27,7 @@ from latkit.ladder import (
 from latkit.properties import whitman_w
 from latkit.serialize import to_json_dict
 from latkit.subalgebra import generate_sublattice
-from oracles import oracle_find_isomorphism
+from oracles import ladder_defect, oracle_find_isomorphism
 
 
 def dec_elem(W, ident):
@@ -339,22 +339,68 @@ def test_extract_sd_invariant_holds():
         assert L.meet(base, b) == a  # (a'_{n} + (0,n-1)) * (1,0) = (0,0)
 
 
-def test_verify_ladder_collision_fails_the_order_test():
+def test_extract_witness_set_not_a_chain():
+    # M3 over the cover 0 < 1: the atoms 2 and 3 are both parallel to 1
+    W = LadderWindow(1, m3(), {}, (), ())
+    with pytest.raises(SplitObstruction) as info:
+        extract_ladder(W, 0, 1)
+    assert (info.value.reason, info.value.witness) == ("witness-set-not-a-chain", (2, 3))
+
+
+def test_ladder_defect_catches_a_collision():
     # two coordinates on one element break the product order's antisymmetry
     W = window(2)
-    L = W.lattice
     ladder = extract_ladder(W, W.rail(0, 0), W.rail(1, 0))
+    assert ladder_defect(W.lattice, ladder) is None
     coords = dict(ladder.coords)
     coords[(1, 1)] = coords[(1, 0)]
-    first = next(
-        (e1, e2)
-        for (i1, j1), e1 in coords.items()
-        for (i2, j2), e2 in coords.items()
-        if L.le(e1, e2) != (i1 <= i2 and j1 <= j2)
-    )
-    with pytest.raises(SplitObstruction) as info:
-        _verify_ladder(L, replace(ladder, coords=coords))
-    assert (info.value.reason, info.value.witness) == ("ladder-order-mismatch", first)
+    reason, _ = ladder_defect(W.lattice, replace(ladder, coords=coords))
+    assert reason == "ladder-order-mismatch"
+
+
+def _ladders(L):
+    """extract_ladder on every cover of L, skipping the covers whose
+    witness chains are empty or not chains."""
+    W = LadderWindow(1, L, {}, (), ())
+    for a, b in L.covers:
+        try:
+            yield extract_ladder(W, a, b)
+        except ChainExhausted:
+            pass
+        except SplitObstruction as exc:
+            if exc.reason != "witness-set-not-a-chain":
+                raise
+
+
+def test_extracted_ladders_are_sublattices_on_the_stream(stream9):
+    # extract_ladder's docstring proves this with neither SD nor (W)
+    found = 0
+    for L in stream9:
+        for ladder in _ladders(L):
+            assert ladder_defect(L, ladder) is None, (L, ladder)
+            found += 1
+    assert found == 650
+
+
+def _seeded_windows(count, seed=21):
+    """Windows of radius 1-5, each decorated by up to three case inserts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        radius = rng.randint(1, 5)
+        inserts = [
+            {"case": rng.randint(1, 3), "at": rng.randint(-radius, radius - 1)}
+            for _ in range(rng.randint(0, 3))
+        ]
+        yield decorate(window(radius), {"insert": inserts})
+
+
+def test_extracted_ladders_are_sublattices_on_decorated_windows():
+    ladders = 0
+    for W in _seeded_windows(500):
+        for ladder in _ladders(W.lattice):
+            assert ladder_defect(W.lattice, ladder) is None, (W.spec, ladder)
+            ladders += 1
+    assert ladders == 2851
 
 
 # -- splitting -------------------------------------------------------------------
