@@ -293,11 +293,14 @@ class FiniteLattice:
         return [tuple(np.flatnonzero(leq[lo] & leq[:, hi]).tolist()) for lo, hi in zip(starts, ends)]
 
     def restrict(self, subset):
-        """Induced lattice on a subset: this lattice itself for all of
-        it.  A join/meet-closed subset keeps this lattice's tables,
-        renumbered; any other subset gets rebuilt tables, which re-verify
-        unique bounds."""
+        """Induced lattice on a subset of distinct elements: this lattice
+        itself for all of it.  A join/meet-closed subset keeps this
+        lattice's tables, renumbered; any other subset gets rebuilt
+        tables, which re-verify unique bounds."""
         subset = sorted(subset)
+        repeat = next((x for x, y in zip(subset, subset[1:]) if x == y), None)
+        if repeat is not None:
+            raise ValueError(f"element {repeat} repeats in the subset")
         if subset == list(range(self.n)):
             return self, subset
         idx = np.asarray(subset, dtype=int)

@@ -347,8 +347,7 @@ def verify_corpus(max_n=9):
             continue
         if verdict.qualifies and L.width() == 2:
             width2 += 1
-            if constructive_iso_2xc(L) is None:
-                raise CounterexampleFound("prop_width2: no constructive map onto 2 x C", L)
+            constructive_iso_2xc(L)  # raises unless L maps onto 2 x C
             if verdict.blocks[0].tag != "TwoByChain":
                 raise CounterexampleFound("prop_width2: not isomorphic to 2 x C", L)
         if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":

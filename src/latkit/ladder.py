@@ -411,12 +411,9 @@ def _split_sides(L, ladder):
 
 
 def _band_sizes(W, ladder):
-    L = W.lattice
-    out = {}
-    for dec in W.decorations:
-        band = generate_sublattice(L, ladder.elements | {dec.element})
-        out[dec.ident] = len(band - ladder.elements)
-    return out
+    """The size of the band H_x \\ H of each decoration x, H the ladder."""
+    H = ladder.elements
+    return {d.ident: len(generate_sublattice(W.lattice, H | {d.element}) - H) for d in W.decorations}
 
 
 def ladder_split(W, a=None, b=None):

@@ -13,10 +13,11 @@ Also here are helpers only the tests use: the bits of a mask and the
 up-set masks of a poset (the census oracle's own), join-cover
 refinement, the join primes, the list of admissible triples, the
 re-check of a forbidden-sublattice embedding, a boolean isomorphism
-test, and the block tags of the structure theorem by backtracking
-isomorphism.
+test, the block tags of the structure theorem by backtracking
+isomorphism, and seeded decorated ladder windows.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from latkit.catalog import cube3, m3, n5, two_by_chain
 from latkit.core import _dwn_of, _neighbours, canonical_form, refine
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.jonsson import _relation, min_join_covers
+from latkit.ladder import decorate, window
 from latkit.properties import PropertyReport
 from latkit.subalgebra import iter_admissible_triples
 
@@ -498,3 +500,16 @@ def ladder_defect(L, ladder):
     if reached != elems:
         return "ladder-not-a-sublattice", tuple(sorted(reached - elems))
     return None
+
+
+def seeded_windows(count, seed=21, max_radius=5):
+    """Windows of radius 1 to max_radius, each decorated by up to three
+    case inserts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        radius = rng.randint(1, max_radius)
+        inserts = [
+            {"case": rng.randint(1, 3), "at": rng.randint(-radius, radius - 1)}
+            for _ in range(rng.randint(0, 3))
+        ]
+        yield decorate(window(radius), {"insert": inserts})

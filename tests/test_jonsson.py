@@ -6,6 +6,7 @@ import pytest
 
 import latkit.core
 from latkit import FiniteLattice, boolean, chain, dual, linear_sum, m3, n5, product, two_by_chain
+from latkit.enumeration import all_lattices
 from latkit.jonsson import (
     _layers,
     _relation,
@@ -150,12 +151,13 @@ def test_d_relation_matches_min_join_covers(stream9, monkeypatch, chunk):
         assert [frozenset(layer) for layer in ds.dual_layers] == oracle_layers_from_covers(dual(L))
 
 
-def test_bounded_lattice_theorems(stream9):
-    """On the n <= 9 stream: bounded (quadrant (=,=)) implies SD (Day
-    1979); SD and (W) imply bounded (Nation 1982) and exclude M3.  The
-    per-n counts pin how often each holds."""
-    bounded, sd, sd_w = [0] * 9, [0] * 9, [0] * 9
-    for L in stream9:
+def _bounded_counts(lattices, max_n):
+    """Per-n counts of the bounded (quadrant (=,=)), the SD, and the SD
+    and (W) lattices, asserting on each lattice that bounded implies SD
+    (Day 1979) and that SD and (W) imply bounded (Nation 1982) and
+    exclude M3."""
+    bounded, sd, sd_w = [0] * max_n, [0] * max_n, [0] * max_n
+    for L in lattices:
         is_bounded = d_sequence(L).quadrant == "(=,=)"
         is_sd = is_semidistributive(L, "both").verdict
         has_w = whitman_w(L).verdict
@@ -165,8 +167,21 @@ def test_bounded_lattice_theorems(stream9):
         bounded[L.n - 1] += is_bounded
         sd[L.n - 1] += is_sd
         sd_w[L.n - 1] += is_sd and has_w
-    assert bounded == sd == [1, 1, 1, 2, 4, 9, 22, 60, 174]
-    assert sd_w == [1, 1, 1, 2, 4, 9, 21, 54, 142]
+    return bounded, sd, sd_w
+
+
+def test_bounded_lattice_theorems(stream9):
+    """The theorems on every lattice with n <= 10, and the per-n counts
+    of how often each side holds."""
+    bounded, sd, sd_w = _bounded_counts(stream9 + all_lattices(10, cap=10), 10)
+    assert bounded == sd == [1, 1, 1, 2, 4, 9, 22, 60, 174, 534]
+    assert sd_w == [1, 1, 1, 2, 4, 9, 21, 54, 142, 383]
+
+
+@pytest.mark.slow
+def test_bounded_lattice_theorems_at_11():
+    bounded, sd, sd_w = _bounded_counts(all_lattices(11, cap=11), 11)
+    assert (bounded[10], sd[10], sd_w[10]) == (1720, 1720, 1040)
 
 
 def test_quadrants_cover_all_four(stream8):

@@ -1,4 +1,3 @@
-import random
 from dataclasses import dataclass, replace
 
 import pytest
@@ -27,7 +26,7 @@ from latkit.ladder import (
 from latkit.properties import whitman_w
 from latkit.serialize import to_json_dict
 from latkit.subalgebra import generate_sublattice
-from oracles import ladder_defect, oracle_find_isomorphism
+from oracles import ladder_defect, oracle_find_isomorphism, seeded_windows
 
 
 def dec_elem(W, ident):
@@ -382,21 +381,9 @@ def test_extracted_ladders_are_sublattices_on_the_stream(stream9):
     assert found == 650
 
 
-def _seeded_windows(count, seed=21):
-    """Windows of radius 1-5, each decorated by up to three case inserts."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        radius = rng.randint(1, 5)
-        inserts = [
-            {"case": rng.randint(1, 3), "at": rng.randint(-radius, radius - 1)}
-            for _ in range(rng.randint(0, 3))
-        ]
-        yield decorate(window(radius), {"insert": inserts})
-
-
 def test_extracted_ladders_are_sublattices_on_decorated_windows():
     ladders = 0
-    for W in _seeded_windows(500):
+    for W in seeded_windows(500):
         for ladder in _ladders(W.lattice):
             assert ladder_defect(W.lattice, ladder) is None, (W.spec, ladder)
             ladders += 1

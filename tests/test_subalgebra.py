@@ -3,6 +3,7 @@ import random
 import pytest
 
 from latkit import (
+    boolean,
     canonical_key,
     chain,
     cube3,
@@ -11,9 +12,11 @@ from latkit import (
     n5,
     two_by_chain,
 )
-from latkit.errors import BadConfiguration
+from latkit.errors import BadConfiguration, SplitObstruction
+from latkit.ladder import extract_ladder
 from latkit.subalgebra import (
     FLP_DUALITY,
+    census_one,
     flp_nine,
     gadget,
     gadget_census,
@@ -21,7 +24,7 @@ from latkit.subalgebra import (
     iter_admissible_triples,
     verify_universal,
 )
-from oracles import admissible_triples
+from oracles import admissible_triples, seeded_windows
 
 
 def naive_closure(L, seed):
@@ -55,6 +58,21 @@ def test_closure_matches_naive(stream6):
             size = rng.randint(1, min(3, L.n))
             seed = set(rng.sample(range(L.n), size))
             assert generate_sublattice(L, seed) == naive_closure(L, seed)
+    # ladder._band_sizes' seeds: a ladder, closed, and it plus one element
+    windows = 0
+    for W in seeded_windows(200, max_radius=8):
+        try:
+            H = extract_ladder(W, W.rail(0, 0), W.rail(1, 0)).elements
+        except SplitObstruction as exc:
+            assert exc.reason == "witness-set-not-a-chain"
+            continue
+        windows += 1
+        for seed in [H] + [H | {x} for x in range(W.n) if x not in H]:
+            assert generate_sublattice(W.lattice, seed) == naive_closure(W.lattice, seed)
+    assert windows == 176
+    B = boolean(8)  # four rounds from the atoms, the last two in three chunks each
+    atoms = set(B.upper_covers[B.bottom])
+    assert generate_sublattice(B, atoms) == naive_closure(B, atoms) == set(range(256))
 
 
 def test_closure_operator_laws(stream6):
@@ -108,12 +126,29 @@ def test_gadget_inside_cube():
     assert report.iso_class == canonical_key(two_by_chain(3))
 
 
-def test_gadget_image_is_closure(stream6):
-    for L in stream6:
+def test_gadget_image_is_closure(stream8):
+    for L in stream8:
         for a, b, c in admissible_triples(L):
             report = gadget(L, a, b, c)
-            assert set(report.generated) == generate_sublattice(L, {a, b, c})
+            generated = generate_sublattice(L, {a, b, c})
+            assert set(report.generated) == generated
             assert report.size <= 9
+            assert report.iso_class == canonical_key(L.restrict(generated)[0])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+def test_census_runs_no_closure_and_builds_no_lattice(stream7, monkeypatch):
+    # each gadget is read off the nine FL(P) images and keyed in place
+    import latkit.subalgebra
+    from latkit import FiniteLattice
+
+    expected = [census_one(L) for L in stream7]
+    monkeypatch.setattr(latkit.subalgebra, "generate_sublattice", _never)
+    monkeypatch.setattr(FiniteLattice, "__init__", _never)
+    assert [census_one(L) for L in stream7] == expected
 
 
 def test_admissible_triples_ascend_from_the_least(stream6):
@@ -188,6 +223,20 @@ def test_verify_universal_examples():
     assert verify_universal(n5()) == 1
     assert verify_universal(cube3()) == 12
     assert verify_universal(chain(6)) == 0
+
+
+def test_verify_universal_closes_only_the_flp_guard(monkeypatch):
+    import latkit.subalgebra
+
+    closed = []
+
+    def spy(L, seed):
+        closed.append(L.n)
+        return generate_sublattice(L, seed)
+
+    monkeypatch.setattr(latkit.subalgebra, "generate_sublattice", spy)
+    assert verify_universal(cube3()) == 12
+    assert closed == [9]  # flp_nine's transcription guard
 
 
 def test_verify_universal_stream(stream6):
