@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import FiniteLattice, _leq_of, _orbit, canonical_form, parallel_map
 from .errors import (
-    CounterexampleFound,
     M3N5Disagreement,
     SizeCapExceeded,
     TheoremDisagreement,
@@ -312,7 +311,11 @@ def verify_corpus(max_n=9):
     and aggregate pass/fail verdicts with witnesses.  Each lattice with
     n <= min(max_n, 9) is built once and goes to every section whose size
     limit it meets; one whose theorem check disagrees is counted there
-    and skips the sections gated on its verdict."""
+    and skips the sections gated on its verdict.
+
+    A width-two qualifier's block needs no tag check: check_theorem
+    agreed, so its one block is not Other, and it is not a Singleton
+    (width 1) or the Cube (width 3), so it is TwoByChain."""
     from .classifier import check_theorem, constructive_iso_2xc, verify_prop_width3
     from .jonsson import d_sequence
     from .properties import m3n5_crosscheck
@@ -348,8 +351,6 @@ def verify_corpus(max_n=9):
         if verdict.qualifies and L.width() == 2:
             width2 += 1
             constructive_iso_2xc(L)  # raises unless L maps onto 2 x C
-            if verdict.blocks[0].tag != "TwoByChain":
-                raise CounterexampleFound("prop_width2: not isomorphic to 2 x C", L)
         if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":
             quadrant += 1
 

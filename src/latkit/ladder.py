@@ -40,7 +40,6 @@ from .core import FiniteLattice, check_size, dual, transitive_closure
 from .errors import (
     BadAttachment,
     ChainExhausted,
-    InvariantViolated,
     NotACover,
     SizeCapExceeded,
     SplitObstruction,
@@ -119,7 +118,10 @@ def _expand_case(item, counter):
 
 
 def _normalize_spec(spec, start=0):
-    """Insert items of a spec: a list of them, or {"insert": [...]}."""
+    """Insert items of a spec: a list of them, or {"insert": [...]}.
+    A key outside these shapes is refused by name, not ignored."""
+    if isinstance(spec, dict):
+        _refuse_unknown_keys(spec, {"insert"})
     items = spec.get("insert", []) if isinstance(spec, dict) else spec
     if not isinstance(items, (list, tuple)):
         raise BadAttachment(f"spec must list insert items: {spec!r}")
@@ -127,6 +129,7 @@ def _normalize_spec(spec, start=0):
     for counter, item in enumerate(items, start=start):
         if not isinstance(item, dict):
             raise BadAttachment(f"insert item must be an object: {item!r}")
+        _refuse_unknown_keys(item, {"case", "at", "id"} if "case" in item else {"between", "id", "gt", "lt"})
         if not isinstance(item.get("id", ""), str):
             raise BadAttachment(f"decoration id must be a string: {item!r}")
         if "case" in item:
@@ -149,6 +152,12 @@ def _normalize_spec(spec, start=0):
     if len(set(idents)) != len(idents):
         raise BadAttachment(f"duplicate decoration ids: {idents}")
     return out
+
+
+def _refuse_unknown_keys(obj, known):
+    unknown = sorted(map(str, obj.keys() - known))
+    if unknown:
+        raise BadAttachment(f"unknown key {unknown[0]!r} in {obj!r}")
 
 
 def decorate(W, spec):
@@ -272,13 +281,13 @@ def _half(L, a, b, chain):
     (the SD step of extract_ladder's proof, which needs no SD) while
     h_n * b = b.
 
+    Every chain member x meets b in a, with no check: x > a and x is
+    parallel to b, so x * b lies in [a, b] = {a, b}, a cover, and is not
+    b, as x is not >= b.
+
     The half below the cover is this routine on dual(L) with the cover
     b < a there: joins and meets swap, and so do the two rails.
     """
-    for x in chain:
-        # forced by the cover: x * b lies in the prime interval [a, b]
-        if L.meet(x, b) != a:
-            raise InvariantViolated(f"{x} * {b} is not {a} below a cover")
     # x + b is monotone along the ascending chain, so equal values are
     # adjacent; the dict keeps each value's last member, in chain order
     tops = {L.join(x, b): x for x in chain}
@@ -346,29 +355,6 @@ def extract_ladder(W, a, b):
     )
 
 
-def prime_interval_exclusion_scan(W, ladder):
-    """Elements realizing the pattern (0,m) < x < (1,n) with x parallel
-    to (1,m) and to (0,n): impossible under (W) + SD, so any hit marks a
-    hypothesis violation."""
-    L = W.lattice
-    coords, elements = ladder.coords, ladder.elements
-    hits = []
-    span = range(-ladder.neg, ladder.pos + 1)
-    for x in range(L.n):
-        if x in elements:
-            continue
-        for m in span:
-            for n in span:
-                if m < n and (
-                    L.le(coords[(0, m)], x)
-                    and L.le(x, coords[(1, n)])
-                    and L.incomparable(x, coords[(1, m)])
-                    and L.incomparable(x, coords[(0, n)])
-                ):
-                    hits.append((x, m, n))
-    return hits
-
-
 @dataclass(frozen=True)
 class SplitReport:
     ladder: LadderCoords
@@ -426,6 +412,16 @@ def ladder_split(W, a=None, b=None):
     checked exhaustively on A and follows on B; property (2) compares
     each decoration's band H_x \\ H against the same decoration in a
     window wider by 2.
+
+    No element x has (0,m) < x < (1,n) for some m < n with x parallel
+    to (1,m) and to (0,n), so nothing scans for that pattern: SD-join,
+    checked first, excludes it.  Every rung (0,j) < (1,j) is a cover of
+    L (extract_ladder takes each rung's low end among the lower covers
+    of its high end, and dually).  So x * (1,m) lies in
+    [(0,m), (1,m)] and is not (1,m), giving x * (1,m) = (0,m); and
+    x + (0,n) lies in [(0,n), (1,n)] and is not (0,n), giving
+    x + (0,n) = (1,n) = (1,m) + (0,n).  SD-join then gives
+    (0,n) + x * (1,m) = (1,n), that is (0,n) = (1,n), which is false.
     """
     L = W.lattice
     wider = None
@@ -448,11 +444,6 @@ def ladder_split(W, a=None, b=None):
     if not spanning_candidate(W, a, b):
         raise SplitObstruction("no-spanning-cover", (a, b))
     ladder = extract_ladder(W, a, b)
-
-    hits = prime_interval_exclusion_scan(W, ladder)
-    if hits:
-        raise SplitObstruction("prime-interval-pattern", hits[0])
-
     side_a, side_b = _split_sides(L, ladder)
 
     # property (1) on B needs no scan: x >= (1,-neg) and x >= (0,j) give

@@ -4,8 +4,10 @@ table build, the loop checkers and forbidden-sublattice search, the
 poset-filter lattice census, the all-subsets join-cover and D-layer
 definitions, the D-layers read off the minimal join covers, width by
 recursive matching, the minimal intervals of incomparable pairs, and
-isomorphism by refinement and backtracking, and the re-checks of a
-ladder that ladder.extract_ladder's docstring proves.
+isomorphism by refinement and backtracking, the re-checks of a
+ladder that ladder.extract_ladder's docstring proves, and the
+prime-interval scan that ladder.ladder_split's docstring proves empty
+on every SD-join lattice.
 Each returns what the library function returns, witness and error pair
 included.
 
@@ -476,12 +478,20 @@ def oracle_classify_block(L, block):
 
 def ladder_defect(L, ladder):
     """The first way the ladder coordinates fail what extract_ladder
-    proves, as (reason, witness), or None: the SD step base * b = a at
-    each rung above the cover a < b and its dual below, then the product
-    order of 2 x [-neg, pos] (antisymmetric, so two coordinates on one
-    element fail it), then closure under join and meet."""
+    proves, as (reason, witness), or None: the meet x * b = a forced by
+    the cover a < b on each selected member x above it, and dually the
+    join below it; the SD step base * b = a at each rung above the cover
+    and its dual below; then the product order of 2 x [-neg, pos]
+    (antisymmetric, so two coordinates on one element fail it), then
+    closure under join and meet."""
     coords = ladder.coords
     a, b = coords[(0, 0)], coords[(1, 0)]
+    for x in ladder.up_selected:
+        if L.meet(x, b) != a:
+            return "forced-meet", x
+    for y in ladder.down_selected:
+        if L.join(y, a) != b:
+            return "forced-join", y
     for n, x in enumerate(ladder.up_selected, start=1):
         base = L.join(x, coords[(0, n - 1)])
         if L.meet(base, b) != a:
@@ -500,6 +510,29 @@ def ladder_defect(L, ladder):
     if reached != elems:
         return "ladder-not-a-sublattice", tuple(sorted(reached - elems))
     return None
+
+
+def prime_interval_exclusion_scan(W, ladder):
+    """Elements realizing the pattern (0,m) < x < (1,n) with x parallel
+    to (1,m) and to (0,n): impossible under (W) + SD, so any hit marks a
+    hypothesis violation."""
+    L = W.lattice
+    coords, elements = ladder.coords, ladder.elements
+    hits = []
+    span = range(-ladder.neg, ladder.pos + 1)
+    for x in range(L.n):
+        if x in elements:
+            continue
+        for m in span:
+            for n in span:
+                if m < n and (
+                    L.le(coords[(0, m)], x)
+                    and L.le(x, coords[(1, n)])
+                    and L.incomparable(x, coords[(1, m)])
+                    and L.incomparable(x, coords[(0, n)])
+                ):
+                    hits.append((x, m, n))
+    return hits
 
 
 def seeded_windows(count, seed=21, max_radius=5):

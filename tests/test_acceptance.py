@@ -37,7 +37,6 @@ from latkit.ladder import (
     extract_ladder,
     ladder_split,
     natural_chains,
-    prime_interval_exclusion_scan,
     window,
 )
 from latkit.properties import (
@@ -53,6 +52,7 @@ from oracles import (
     oracle_find_isomorphism,
     oracle_lattice_census,
     oracle_min_join_covers,
+    prime_interval_exclusion_scan,
 )
 
 

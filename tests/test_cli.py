@@ -194,17 +194,6 @@ def test_verify_gj_rejects_jobs(capsys):
         assert captured.out == "" and "--jobs" in captured.err
 
 
-def test_verify_corpus_missing_gadget_is_a_bug(monkeypatch, capsys):
-    import latkit.classifier
-
-    monkeypatch.setattr(latkit.classifier, "iter_admissible_triples", lambda L: iter(()))
-    assert run(["verify", "corpus", "--max-n", "6"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal error: InvariantViolated: ")
-    assert captured.err.count("\n") == 1
-
-
 def test_verify_gj_counts_disagreements(monkeypatch, capsys):
     import latkit.cli
     from latkit.errors import TheoremDisagreement
@@ -330,6 +319,8 @@ def test_ladder_bad_inputs(tmp_path):
         {"insert": [{"case": 1, "at": 0, "id": [1, 2]}]},
         {"insert": [{"between": [[0, 0], [0, 1]], "gt": 1}]},
         {"insert": [{"between": [[0, [0]], [0, 1]]}]},
+        {"inserts": [{"case": 1, "at": 0}]},
+        {"insert": [{"case": 1, "at": 0, "every": 2}]},
     ):
         spec.write_text(json.dumps(payload))
         assert run(["ladder", "split", str(spec)]) == 2, payload

@@ -19,14 +19,18 @@ from latkit.ladder import (
     extract_ladder,
     ladder_split,
     natural_chains,
-    prime_interval_exclusion_scan,
     spanning_candidate,
     window,
 )
-from latkit.properties import whitman_w
+from latkit.properties import is_semidistributive, whitman_w
 from latkit.serialize import to_json_dict
 from latkit.subalgebra import generate_sublattice
-from oracles import ladder_defect, oracle_find_isomorphism, seeded_windows
+from oracles import (
+    ladder_defect,
+    oracle_find_isomorphism,
+    prime_interval_exclusion_scan,
+    seeded_windows,
+)
 
 
 def dec_elem(W, ident):
@@ -357,6 +361,17 @@ def test_ladder_defect_catches_a_collision():
     assert reason == "ladder-order-mismatch"
 
 
+def test_ladder_defect_catches_an_unforced_meet():
+    # (1,1) is not parallel to the cover's top (1,0), so it meets it in
+    # (1,0), not in (0,0); dually (0,-1) joins (0,0) to (0,0)
+    W = window(2)
+    ladder = extract_ladder(W, W.rail(0, 0), W.rail(1, 0))
+    up = replace(ladder, up_selected=(W.rail(1, 1),))
+    assert ladder_defect(W.lattice, up) == ("forced-meet", W.rail(1, 1))
+    down = replace(ladder, down_selected=(W.rail(0, -1),))
+    assert ladder_defect(W.lattice, down) == ("forced-join", W.rail(0, -1))
+
+
 def _ladders(L):
     """extract_ladder on every cover of L, skipping the covers whose
     witness chains are empty or not chains."""
@@ -478,6 +493,21 @@ def test_prime_interval_exclusion_scan_hit():
     )
     W = LadderWindow(1, L, {}, (), ())
     assert prime_interval_exclusion_scan(W, extract_ladder(W, 1, 3)) == [(5, -1, 1)]
+    assert not is_semidistributive(L, "join").verdict
+
+
+def test_prime_interval_hits_only_fail_sd_join(stream9):
+    # ladder_split's docstring: SD-join excludes the pattern, so the
+    # split runs no scan for it
+    ladders = hits = 0
+    windows = [LadderWindow(1, L, {}, (), ()) for L in stream9] + list(seeded_windows(500))
+    for W in windows:
+        for ladder in _ladders(W.lattice):
+            ladders += 1
+            if prime_interval_exclusion_scan(W, ladder):
+                hits += 1
+                assert not is_semidistributive(W.lattice, "join").verdict, (W.lattice, ladder)
+    assert (ladders, hits) == (650 + 2851, 196)
 
 
 def test_split_sides_join_test_fires():

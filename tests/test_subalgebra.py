@@ -119,6 +119,20 @@ def test_gadget_two_by_three():
     assert report.iso_class == canonical_key(L)
 
 
+def test_every_gadget_of_two_by_chain_is_two_by_three():
+    # classifier.constructive_iso_2xc builds no gadget seed on this proof
+    key = canonical_key(two_by_chain(3))
+    checked = 0
+    for k in range(2, 13):
+        L = two_by_chain(k)
+        for M in (L, L.relabel(random.Random(k).sample(range(2 * k), 2 * k))):
+            for a, b, c in iter_admissible_triples(M):
+                report = gadget(M, a, b, c)
+                assert (report.size, report.iso_class) == (6, key), (k, a, b, c)
+                checked += 1
+    assert checked == 2 * 2 * 715  # 2 C(k, 3) triples at each k, sum 2 C(13, 4), plain and relabeled
+
+
 def test_gadget_inside_cube():
     C = cube3()
     report = gadget(C, 4, 2, 3)
