@@ -17,7 +17,6 @@ from .classifier import check_theorem
 from .enumeration import (
     DEFAULT_ENUM_CAP,
     conjecture1_scan,
-    filter_lattices,
     iter_lattices,
     verify_corpus,
 )
@@ -130,15 +129,15 @@ def _cmd_enum(args):
         raise LatkitError(
             f"unknown property {unknown[0]!r}; choose from {', '.join(PROPERTIES)}"
         )
-    pool = [
-        L
-        for L in iter_lattices(args.max_n, cap=args.cap)
-        if args.width is None or L.width() == args.width
-    ]
+    stream = iter_lattices(args.max_n, cap=args.cap)  # checks max_n before emit makes a directory
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
     emitted = 0
-    for L in filter_lattices(pool, wanted, jobs=args.jobs):
+    for L in stream:
+        if args.width is not None and L.width() != args.width:
+            continue
+        if not all(check_property(L, name).verdict for name in wanted):
+            continue
         _dump(serialize.to_json_dict(L))
         if args.emit:
             path = os.path.join(args.emit, f"lat_{L.n}_{emitted:05d}.json")
@@ -239,7 +238,6 @@ def build_parser():
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--property", default="", help="comma-separated filters")
     p.add_argument("--emit", default=None, help="directory for lattice files")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = verb("scan", _cmd_scan, "conjecture evidence scans")
     p.add_argument("what", choices=("conjecture1",))

@@ -40,6 +40,7 @@ from .core import FiniteLattice, check_size, dual, transitive_closure
 from .errors import (
     BadAttachment,
     ChainExhausted,
+    LatkitError,
     NotACover,
     SizeCapExceeded,
     SplitObstruction,
@@ -70,6 +71,8 @@ class LadderWindow:
         return self.lattice.n
 
     def rail(self, i, j):
+        if (i, j) not in self.rail_elem:
+            raise LatkitError(f"window has no rail element (rail, index) = {(i, j)}")
         return self.rail_elem[(i, j)]
 
     def __repr__(self):

@@ -227,7 +227,7 @@ def census_one(L):
 def gadget_census(lattices, jobs=1):
     """Count gadget (fingerprint, iso class) cases over a lattice stream."""
     lattices = list(lattices)
-    results = parallel_map(census_one, lattices, jobs, chunksize=8)
+    results = parallel_map(census_one, lattices, jobs)
     pairs, gadgets = {}, 0
     for total, chunk in results:
         gadgets += total

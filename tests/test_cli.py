@@ -272,14 +272,6 @@ def test_enum_emit_onto_a_file_prints_nothing(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
-def test_enum_jobs_identical_output(capsys):
-    assert run(["enum", "--max-n", "5", "--property", "whitman"]) == 0
-    seq = capsys.readouterr().out
-    assert run(["enum", "--max-n", "5", "--property", "whitman", "--jobs", "2"]) == 0
-    par = capsys.readouterr().out
-    assert seq == par
-
-
 def test_verify_corpus_verb(capsys):
     assert run(["verify", "corpus", "--max-n", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -553,9 +553,9 @@ def test_parallel_map_caps_the_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(core.os, "cpu_count", lambda: 4)
-    assert parallel_map(abs, [-1, -2, -3], 100_000, chunksize=1) == [1, 2, 3]
-    assert parallel_map(abs, list(range(-9, 0)), 100_000, chunksize=1) == list(range(9, 0, -1))
-    assert parallel_map(abs, list(range(-9, 0)), 2, chunksize=1) == list(range(9, 0, -1))
-    assert parallel_map(abs, [-1], 100_000, chunksize=1) == [1]  # no pool
-    assert parallel_map(abs, [], 100_000, chunksize=1) == []
+    assert parallel_map(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+    assert parallel_map(abs, list(range(-9, 0)), 100_000) == list(range(9, 0, -1))
+    assert parallel_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+    assert parallel_map(abs, [-1], 100_000) == [1]  # no pool
+    assert parallel_map(abs, [], 100_000) == []
     assert sizes == [3, 4, 2]

@@ -114,6 +114,48 @@ def test_iter_lattices_checks_the_cap_first(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: max_n=0 is below 1\n" * len(verbs)
 
 
+def test_iter_lattices_builds_only_what_is_consumed(monkeypatch):
+    import latkit.enumeration
+
+    built = []
+    build = latkit.enumeration._lattice_from_dwn
+
+    def counting(dwn):
+        built.append(dwn)
+        return build(dwn)
+
+    monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", counting)
+    stream = iter_lattices(9)
+    first = [next(stream) for _ in range(100)]
+    assert len(built) == 100  # levels 1..8 alone hold 300
+    assert [L.n for L in first] == sorted(L.n for L in first)
+
+
+def test_enum_holds_one_lattice_at_a_time(monkeypatch, capsys):
+    import weakref
+
+    import latkit.enumeration
+    import latkit.serialize
+
+    live, seen = weakref.WeakSet(), []
+    build, dump = latkit.enumeration._lattice_from_dwn, latkit.serialize.to_json_dict
+
+    def tracked(dwn):
+        L = build(dwn)
+        live.add(L)
+        return L
+
+    def recording(L):
+        seen.append(len(live))
+        return dump(L)
+
+    monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", tracked)
+    monkeypatch.setattr(latkit.serialize, "to_json_dict", recording)
+    assert run(["enum", "--max-n", "8"]) == 0
+    assert len(seen) == 300 and max(seen) <= 2
+    assert capsys.readouterr().err == "emitted 300 lattices\n"
+
+
 @pytest.mark.slow
 def test_level_11_count():
     assert len(all_lattices(11, cap=11)) == 37622  # OEIS A006966

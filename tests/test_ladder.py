@@ -6,6 +6,7 @@ from latkit import FiniteLattice, m3, two_by_chain
 from latkit.errors import (
     BadAttachment,
     ChainExhausted,
+    LatkitError,
     NotACover,
     NotALattice,
     SizeCapExceeded,
@@ -348,6 +349,16 @@ def test_extract_witness_set_not_a_chain():
     with pytest.raises(SplitObstruction) as info:
         extract_ladder(W, 0, 1)
     assert (info.value.reason, info.value.witness) == ("witness-set-not-a-chain", (2, 3))
+
+
+def test_ladder_split_without_rails_names_the_missing_rail_element():
+    # a window with no rail coordinates has no default cover and no
+    # boundary column for the spanning test
+    W = LadderWindow(1, two_by_chain(3), {}, (), ())
+    with pytest.raises(LatkitError, match=r"\(rail, index\) = \(0, 1\)"):
+        ladder_split(W, a=0, b=1)
+    with pytest.raises(LatkitError, match=r"\(rail, index\) = \(0, 0\)"):
+        ladder_split(W)
 
 
 def test_ladder_defect_catches_a_collision():
