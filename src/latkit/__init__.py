@@ -34,7 +34,7 @@ from .properties import (
 )
 from .subalgebra import flp_nine, gadget, gadget_census, generate_sublattice, verify_universal
 from .jonsson import d_sequence, min_join_covers
-from .classifier import check_theorem, classify_block, constructive_iso_2xc, verify_prop_width3
+from .classifier import check_theorem, classify_block, constructive_iso_2xc
 from .freeterm import canonical, eval_term, format_term, free_leq
 from .freeterm import parse as parse_term
 from .ladder import (
@@ -79,7 +79,6 @@ __all__ = [
     "check_theorem",
     "classify_block",
     "constructive_iso_2xc",
-    "verify_prop_width3",
     "canonical",
     "eval_term",
     "format_term",

@@ -15,12 +15,7 @@ import numpy as np
 
 from .catalog import cube3
 from .core import canonical_key, first_hit
-from .errors import (
-    CounterexampleFound,
-    InvariantViolated,
-    PreconditionFailed,
-    TheoremDisagreement,
-)
+from .errors import InvariantViolated, PreconditionFailed, TheoremDisagreement
 from .properties import is_distributive, is_modular
 
 
@@ -154,20 +149,3 @@ def constructive_iso_2xc(L):
     if f is None:
         raise InvariantViolated("lattice is not 2 x C")
     return f
-
-
-def verify_prop_width3(lattices, verdicts):
-    """How many lattices are indecomposable, distributive, DR-free and of
-    width 3; each must be the cube, else CounterexampleFound.  verdicts
-    are the check_theorem verdicts of the lattices in order; a None
-    verdict (the theorem check disagreed) does not qualify."""
-    qualifying = 0
-    for L, verdict in zip(lattices, verdicts):
-        if verdict is not None and verdict.qualifies and L.width() == 3:
-            qualifying += 1
-            if L.n != 8 or canonical_key(L) != _cube_key():
-                raise CounterexampleFound(
-                    f"width-3 qualifier not isomorphic to the cube: {L!r}",
-                    witness=L,
-                )
-    return qualifying

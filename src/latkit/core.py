@@ -37,20 +37,6 @@ def check_size(n):
         raise SizeCapExceeded(f"{n} elements exceeds cap {size_cap()}")
 
 
-def parallel_map(fn, items, jobs):
-    """[fn(x) for x in items], spread over worker processes in chunks of
-    8 when jobs > 1; the output keeps the input order either way.  The
-    pool has at most one worker per item and per CPU, since a forking
-    pool starts all its workers at the first submit."""
-    jobs = min(jobs, len(items), os.cpu_count() or 1)
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=8))
-
-
 class FiniteLattice:
     """A finite lattice over elements 0..n-1.
 

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteLattice, _leq_of, _orbit, canonical_form
+from .core import FiniteLattice, _leq_of, _orbit, canonical_form, check_size
 from .errors import (
     M3N5Disagreement,
     SizeCapExceeded,
@@ -104,21 +104,25 @@ def _lattice_from_dwn(dwn):
 
 def all_lattices(n, cap=DEFAULT_ENUM_CAP):
     """All isomorphism classes of n-element lattices, deterministically
-    ordered by canonical key of the top-removed semilattice."""
+    ordered by canonical key of the top-removed semilattice; checks n
+    against both caps before any work."""
     if not 1 <= n <= cap:
         raise SizeCapExceeded(f"n={n} outside 1..{cap}")
+    check_size(n)
     return [_lattice_from_dwn(s) for s in _semilattices(n - 1)]
 
 
 def iter_lattices(max_n, cap=DEFAULT_ENUM_CAP):
     """All lattices with 1..max_n elements, in all_lattices' order;
-    checks max_n before any work.  The stream builds each lattice only
-    when it is consumed, so a consumer that keeps none holds one at a
-    time (`enum --max-n 11 --cap 11 --property sd` peaks at 47 MB)."""
+    checks max_n against both caps before any work.  The stream builds
+    each lattice only when it is consumed, so a consumer that keeps none
+    holds one at a time (`enum --max-n 11 --cap 11 --property sd` peaks
+    at 47 MB)."""
     if max_n < 1:
         raise SizeCapExceeded(f"max_n={max_n} is below 1")
     if max_n > cap:
         raise SizeCapExceeded(f"{max_n} elements exceeds cap {cap}")
+    check_size(max_n)
     return (_lattice_from_dwn(s) for n in range(1, max_n + 1) for s in _semilattices(n - 1))
 
 
@@ -298,10 +302,16 @@ def verify_corpus(max_n=9):
     limit it meets; one whose theorem check disagrees is counted there
     and skips the sections gated on its verdict.
 
-    A width-two qualifier's block needs no tag check: check_theorem
-    agreed, so its one block is not Other, and it is not a Singleton
-    (width 1) or the Cube (width 3), so it is TwoByChain."""
-    from .classifier import check_theorem, constructive_iso_2xc, verify_prop_width3
+    The width propositions are read off the block tags.  A qualifier
+    (GJVerdict.qualifies) is one block, and check_theorem agreed, so the
+    block is not Other.  Width 2 rules out Singleton (width 1) and Cube
+    (width 3), leaving TwoByChain, which classify_block grants only once
+    _rail_map(L) succeeds: the map constructive_iso_2xc returns.  Width 3
+    rules out Singleton and TwoByChain (width 2), leaving Cube, granted
+    only when the block's canonical key is the cube's.  So a qualifier
+    has width 2 iff its tag is TwoByChain and width 3 iff it is Cube, and
+    each is the proposition's 2 x C_k or cube."""
+    from .classifier import check_theorem
     from .jonsson import d_sequence
     from .properties import m3n5_crosscheck
     from .subalgebra import gadget_census, verify_universal
@@ -309,9 +319,8 @@ def verify_corpus(max_n=9):
     top = min(max_n, 9)
     lattices = list(iter_lattices(top))
     counts = [0] * min(max_n, 7)
-    verdicts = []
     m3n5 = theorem = universality = quadrant = 0  # failing lattices per section
-    width2 = 0
+    width2 = width3 = 0
     for L in lattices:
         if L.n <= 7:
             counts[L.n - 1] += 1
@@ -325,22 +334,18 @@ def verify_corpus(max_n=9):
                 verify_universal(L)
             except UniversalityFailure:
                 universality += 1
-        verdict = None
         try:
             verdict = check_theorem(L)
         except TheoremDisagreement:
             theorem += 1
-        verdicts.append(verdict)
-        if verdict is None:
             continue
-        if verdict.qualifies and L.width() == 2:
-            width2 += 1
-            constructive_iso_2xc(L)  # raises unless L maps onto 2 x C
+        if verdict.qualifies:
+            width2 += verdict.blocks[0].tag == "TwoByChain"
+            width3 += verdict.blocks[0].tag == "Cube"
         if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":
             quadrant += 1
 
     expected = list(LATTICE_COUNTS[: len(counts)])
-    width3 = verify_prop_width3(lattices, verdicts)
     census_top = min(max_n, 8)
     census = gadget_census(L for L in lattices if L.n <= census_top)
     report = {

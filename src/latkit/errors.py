@@ -58,14 +58,6 @@ class InvariantViolated(LatkitError):
     """
 
 
-class CounterexampleFound(LatkitError):
-    """An exhaustive verification run found a violating lattice."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
 class PreconditionFailed(LatkitError):
     """A named precondition of a constructive procedure does not hold."""
 

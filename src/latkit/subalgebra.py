@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, _dwn_of, _leq_of, canonical_form, chunk_ranges, parallel_map, preserves_operations
+from .core import FiniteLattice, _dwn_of, _leq_of, canonical_form, chunk_ranges, preserves_operations
 from .errors import BadConfiguration, InvariantViolated, UniversalityFailure
 from .freeterm import eval_term, parse
 
@@ -136,7 +136,10 @@ def gadget(L, a, b, c):
     FL(P) -> L (FL(P)'s universal property; Freese, Jezek and Nation,
     Free Lattices, 1995), so its image is a sublattice holding a, b and
     c; and A, B, C generate FL(P) (flp_nine's transcription guard), so
-    every image lies in the sublattice that a, b and c generate."""
+    every image lies in the sublattice that a, b and c generate.  The
+    gadget is FL(P)/theta, where theta is the fingerprint's partition (the
+    kernel of that homomorphism), so its iso class is a function of its
+    fingerprint."""
     if len({a, b, c}) != 3:
         raise BadConfiguration("a, b, c distinct")
     if not (L.le(b, c) and b != c):
@@ -224,12 +227,13 @@ def census_one(L):
     return total, pairs
 
 
-def gadget_census(lattices, jobs=1):
-    """Count gadget (fingerprint, iso class) cases over a lattice stream."""
-    lattices = list(lattices)
-    results = parallel_map(census_one, lattices, jobs)
-    pairs, gadgets = {}, 0
-    for total, chunk in results:
+def gadget_census(lattices):
+    """Count gadget (fingerprint, iso class) cases over a lattice stream
+    in one serial pass that keeps no lattice."""
+    pairs, seen, gadgets = {}, 0, 0
+    for L in lattices:
+        total, chunk = census_one(L)
+        seen += 1
         gadgets += total
         for key, count in chunk.items():
             pairs[key] = pairs.get(key, 0) + count
@@ -238,7 +242,7 @@ def gadget_census(lattices, jobs=1):
         fingerprints[fp] = fingerprints.get(fp, 0) + count
         iso_classes[key] = iso_classes.get(key, 0) + count
     return GadgetCensus(
-        lattices=len(lattices),
+        lattices=seen,
         gadgets=gadgets,
         pairs=pairs,
         fingerprints=fingerprints,

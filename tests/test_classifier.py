@@ -20,7 +20,6 @@ from latkit.classifier import (
     check_theorem,
     classify_block,
     constructive_iso_2xc,
-    verify_prop_width3,
 )
 from latkit.errors import PreconditionFailed
 from latkit.ladder import decorate, window
@@ -207,20 +206,6 @@ def test_rail_map_matches_oracle(stream9):
         if f is not None:
             assert sorted(f) == list(range(L.n))
             assert all(L.le(x, y) == target.le(f[x], f[y]) for x in range(L.n) for y in range(L.n))
-
-
-def test_prop_width3_stream(stream9):
-    assert verify_prop_width3(stream9, [check_theorem(L) for L in stream9]) == 1
-
-
-def test_prop_width3_includes_cube():
-    lattices = [cube3()]
-    assert verify_prop_width3(lattices, [check_theorem(L) for L in lattices]) == 1
-
-
-def test_prop_width3_filters_width2():
-    lattices = [two_by_chain(4)]
-    assert verify_prop_width3(lattices, [check_theorem(L) for L in lattices]) == 0
 
 
 def test_width2_finite_form(stream9):

@@ -187,9 +187,10 @@ def test_verify_gj_verb(capsys):
 
 
 def test_verify_gj_rejects_jobs(capsys):
-    # neither action has a --jobs option, not even --jobs 1
-    for what, jobs in (("gj", "4"), ("gj", "1"), ("corpus", "2")):
-        assert run(["verify", what, "--max-n", "5", "--jobs", jobs]) == 2
+    # no verb has a --jobs option, not even --jobs 1
+    argvs = [["verify", what, "--jobs", jobs] for what, jobs in (("gj", "4"), ("gj", "1"), ("corpus", "2"))]
+    for argv in argvs + [["gadget-census", "--jobs", "2"]]:
+        assert run(argv + ["--max-n", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--jobs" in captured.err
 

@@ -21,7 +21,7 @@ from latkit import (
     two_by_chain,
 )
 from latkit import core
-from latkit.core import _orbit, canonical_form, parallel_map, size_cap
+from latkit.core import _orbit, canonical_form, size_cap
 from latkit.errors import LatkitError, NotALattice, NotAPartialOrder, SizeCapExceeded
 from oracles import is_isomorphic, labeled_lattices, oracle_find_isomorphism, oracle_width
 
@@ -529,33 +529,3 @@ def test_is_isomorphic_returns_bool():
     assert is_isomorphic(cube3(), boolean(3)) is True
     assert is_isomorphic(m3(), n5()) is False
     assert is_isomorphic(chain(4), chain(5)) is False
-
-
-def test_parallel_map_caps_the_pool(monkeypatch):
-    # a forking pool starts every worker at the first submit, so the
-    # pool must not be larger than the items or the CPUs
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(core.os, "cpu_count", lambda: 4)
-    assert parallel_map(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
-    assert parallel_map(abs, list(range(-9, 0)), 100_000) == list(range(9, 0, -1))
-    assert parallel_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
-    assert parallel_map(abs, [-1], 100_000) == [1]  # no pool
-    assert parallel_map(abs, [], 100_000) == []
-    assert sizes == [3, 4, 2]

@@ -114,6 +114,24 @@ def test_iter_lattices_checks_the_cap_first(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: max_n=0 is below 1\n" * len(verbs)
 
 
+def test_element_cap_is_checked_before_enumerating(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("LATKIT_MAX_N", "4")
+    emit = tmp_path / "out"
+    assert run(["enum", "--max-n", "6", "--emit", str(emit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: 6 elements exceeds cap 4\n"
+    assert not emit.exists()
+
+    def never(k):
+        raise AssertionError("a level was generated before the cap check")
+
+    monkeypatch.setattr("latkit.enumeration._semilattices", never)
+    with pytest.raises(SizeCapExceeded, match="6 elements exceeds cap 4"):
+        all_lattices(6)
+    with pytest.raises(SizeCapExceeded, match="6 elements exceeds cap 4"):
+        iter_lattices(6)
+
+
 def test_iter_lattices_builds_only_what_is_consumed(monkeypatch):
     import latkit.enumeration
 
@@ -284,21 +302,20 @@ def test_conjecture_scan():
     assert payload["width2_whitman"] == 75
 
 
-def test_verify_corpus_prop_width2_sentinel(monkeypatch):
-    # constructive_iso_2xc returns its map or raises; verify_corpus runs it
-    # on each width-two qualifier and lets its failure through
+def test_verify_corpus_reads_width2_off_the_tags(monkeypatch):
+    # the TwoByChain tag is granted by the rail map constructive_iso_2xc
+    # returns, so verify_corpus needs no second call
+    import json
+    import pathlib
+
     import latkit.classifier
 
-    seen = []
-
     def fail(L):
-        seen.append(L.n)
-        raise InvariantViolated("lattice is not 2 x C")
+        raise InvariantViolated("constructive_iso_2xc was called")
 
     monkeypatch.setattr(latkit.classifier, "constructive_iso_2xc", fail)
-    with pytest.raises(InvariantViolated):
-        verify_corpus(max_n=6)
-    assert seen == [4]  # 2 x C_2 is the first instance
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_corpus_max_n_9.txt"
+    assert verify_corpus(max_n=9) == json.loads(golden.read_text(encoding="utf-8"))
 
 
 def test_verify_corpus_counts_m3n5_disagreements(monkeypatch):

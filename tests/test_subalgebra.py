@@ -294,11 +294,35 @@ def test_census_five_element_lattices():
     assert sizes == [5]
 
 
-def test_census_jobs_deterministic(stream6):
-    seq = gadget_census(stream6, jobs=1)
-    par = gadget_census(stream6, jobs=2)
-    assert seq.fingerprints == par.fingerprints
-    assert seq.iso_classes == par.iso_classes
+def test_census_holds_one_lattice_at_a_time(monkeypatch):
+    import weakref
+
+    import latkit.enumeration
+    import latkit.subalgebra
+    from latkit.enumeration import iter_lattices
+
+    live, seen = weakref.WeakSet(), []
+    build, census = latkit.enumeration._lattice_from_dwn, latkit.subalgebra.census_one
+
+    def tracked(dwn):
+        L = build(dwn)
+        live.add(L)
+        return L
+
+    def recording(L):
+        seen.append(len(live))
+        return census(L)
+
+    monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", tracked)
+    monkeypatch.setattr(latkit.subalgebra, "census_one", recording)
+    assert gadget_census(iter_lattices(8)).lattices == 300
+    assert len(seen) == 300 and max(seen) <= 2
+
+
+def test_census_iso_class_is_a_function_of_the_fingerprint(stream8):
+    # the gadget is FL(P)/theta for theta its fingerprint's partition
+    census = gadget_census(stream8)
+    assert len(census.pairs) == len(census.fingerprints) == 6  # FL(P) itself needs n = 9
 
 
 def test_sentinels_survive_optimized_mode():
