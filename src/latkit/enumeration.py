@@ -316,43 +316,47 @@ def verify_corpus(max_n=9):
     from .properties import m3n5_crosscheck
     from .subalgebra import gadget_census, verify_universal
 
-    top = min(max_n, 9)
-    lattices = list(iter_lattices(top))
+    top, census_top = min(max_n, 9), min(max_n, 8)
     counts = [0] * min(max_n, 7)
     m3n5 = theorem = universality = quadrant = 0  # failing lattices per section
-    width2 = width3 = 0
-    for L in lattices:
-        if L.n <= 7:
-            counts[L.n - 1] += 1
-        if L.n <= 8:
-            try:
-                m3n5_crosscheck(L)
-            except M3N5Disagreement:
-                m3n5 += 1
-        if L.n <= 6:
-            try:
-                verify_universal(L)
-            except UniversalityFailure:
-                universality += 1
-        try:
-            verdict = check_theorem(L)
-        except TheoremDisagreement:
-            theorem += 1
-            continue
-        if verdict.qualifies:
-            width2 += verdict.blocks[0].tag == "TwoByChain"
-            width3 += verdict.blocks[0].tag == "Cube"
-        if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":
-            quadrant += 1
+    width2 = width3 = scanned = 0
 
+    def checked():  # runs every section on each lattice, yields the census's ones
+        nonlocal m3n5, theorem, universality, quadrant, width2, width3, scanned
+        for L in iter_lattices(top):
+            scanned += 1
+            if L.n <= 7:
+                counts[L.n - 1] += 1
+            if L.n <= 8:
+                try:
+                    m3n5_crosscheck(L)
+                except M3N5Disagreement:
+                    m3n5 += 1
+            if L.n <= 6:
+                try:
+                    verify_universal(L)
+                except UniversalityFailure:
+                    universality += 1
+            try:
+                verdict = check_theorem(L)
+            except TheoremDisagreement:
+                theorem += 1
+            else:
+                if verdict.qualifies:
+                    width2 += verdict.blocks[0].tag == "TwoByChain"
+                    width3 += verdict.blocks[0].tag == "Cube"
+                if L.n <= 8 and verdict.distributive and d_sequence(L).quadrant != "(=,=)":
+                    quadrant += 1
+            if L.n <= census_top:
+                yield L
+
+    census = gadget_census(checked())
     expected = list(LATTICE_COUNTS[: len(counts)])
-    census_top = min(max_n, 8)
-    census = gadget_census(L for L in lattices if L.n <= census_top)
     report = {
         "counts": {"computed": counts, "expected": expected, "pass": counts == expected},
         "m3n5": {"max_n": min(max_n, 8), "disagreements": m3n5, "pass": m3n5 == 0},
         "prop_width3": {
-            "scanned": len(lattices),
+            "scanned": scanned,
             "qualifying": width3,
             "pass": width3 == int(max_n >= 8),  # the cube has eight elements
         },

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import two_by_chain
-from .core import FiniteLattice, check_size, dual, transitive_closure
+from .core import FiniteLattice, check_size, dual
 from .errors import (
     BadAttachment,
     ChainExhausted,
@@ -166,13 +166,14 @@ def _refuse_unknown_keys(obj, known):
 def decorate(W, spec):
     """Apply a decoration spec to a window, validating the result.
 
-    Anchors are [rail, index] coordinates or ids of earlier insertions.
-    Raises NotALattice (with a witness pair) when an insertion breaks
-    unique bounds, NotAPartialOrder on cyclic extra relations.
+    Anchors are [rail, index] coordinates or ids of earlier insertions,
+    ordered, lower first, in the order built so far, which each item
+    keeps closed as it adds its relations.  Raises NotALattice (with a
+    witness pair) when an insertion breaks unique bounds, and
+    NotAPartialOrder (the least pair on a cycle) on cyclic gt/lt refs.
     """
     items = _normalize_spec(spec, start=len(W.decorations))
-    existing = {d.ident for d in W.decorations}
-    clash = existing & {e["id"] for e in items}
+    clash = {d.ident for d in W.decorations} & {e["id"] for e in items}
     if clash:
         raise BadAttachment(f"decoration ids already in use: {sorted(clash)}")
     base = W.lattice
@@ -194,26 +195,21 @@ def decorate(W, spec):
             pass
         raise BadAttachment(f"anchor must be [rail, index] in the window or an id: {anchor!r}")
 
-    rel = np.eye(total, dtype=bool)
-    rel[:n_old, :n_old] = base.leq
+    order = np.eye(total, dtype=bool)
+    order[:n_old, :n_old] = base.leq
     decorations = list(W.decorations)
     for offset, item in enumerate(items):
         elem = n_old + offset
-        lo = resolve(item["between"][0])
-        hi = resolve(item["between"][1])
-        if lo == hi or not rel[lo, hi]:
+        lo, hi = (resolve(anchor) for anchor in item["between"])
+        if lo == hi or not order[lo, hi]:
             raise BadAttachment(f"anchors {item['between']} are not ordered")
-        rel[lo, elem] = True
-        rel[elem, hi] = True
-        for ref in item.get("gt", []):
-            rel[resolve(ref), elem] = True
-        for ref in item.get("lt", []):
-            rel[elem, resolve(ref)] = True
+        below = order[:, [elem, lo, *map(resolve, item.get("gt", []))]].any(axis=1)
+        above = order[[elem, hi, *map(resolve, item.get("lt", []))]].any(axis=0)
+        order |= below[:, None] & above
         ident_to_elem[item["id"]] = elem
         decorations.append(Decoration(ident=item["id"], element=elem))
-    closed = transitive_closure(rel)
     names = [base.name_of(x) for x in range(n_old)] + [e["id"] for e in items]
-    lattice = FiniteLattice(closed, names=names, _validated=True)
+    lattice = FiniteLattice(order, names=names)
     return LadderWindow(W.radius, lattice, W.coord, decorations, tuple(W.spec) + tuple(items))
 
 

@@ -7,7 +7,9 @@ recursive matching, the minimal intervals of incomparable pairs, and
 isomorphism by refinement and backtracking, the re-checks of a
 ladder that ladder.extract_ladder's docstring proves, and the
 prime-interval scan that ladder.ladder_split's docstring proves empty
-on every SD-join lattice.
+on every SD-join lattice, the order ladder.decorate builds by closing
+all its direct pairs at once, and the modular, distributive and
+semidistributive verdicts read off the irreducibles and the covers.
 Each returns what the library function returns, witness and error pair
 included.
 
@@ -16,7 +18,8 @@ up-set masks of a poset (the census oracle's own), join-cover
 refinement, the join primes, the list of admissible triples, the
 re-check of a forbidden-sublattice embedding, a boolean isomorphism
 test, the block tags of the structure theorem by backtracking
-isomorphism, and seeded decorated ladder windows.
+isomorphism, seeded decorated ladder windows, and seeded decoration
+specs whose items anchor on earlier items.
 """
 
 import random
@@ -546,3 +549,91 @@ def seeded_windows(count, seed=21, max_radius=5):
             for _ in range(rng.randint(0, 3))
         ]
         yield decorate(window(radius), {"insert": inserts})
+
+
+def seeded_specs(count, seed=27, max_radius=4, max_items=5):
+    """(radius, spec) pairs: radius 1 to max_radius, 1 to max_items
+    insert items, each a case shorthand or a between item whose anchors
+    are rail coordinates or ids of earlier items and whose gt/lt refs
+    name earlier items.  Anchors need not be ordered."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        radius = rng.randint(1, max_radius)
+        ids, items = [], []
+
+        def ref():
+            if ids and rng.random() < 0.5:
+                return rng.choice(ids)
+            return [rng.randint(0, 1), rng.randint(-radius, radius)]
+
+        for k in range(rng.randint(1, max_items)):
+            if not ids or rng.random() < 0.4:
+                case = rng.randint(1, 3)
+                items.append({"case": case, "at": rng.randint(-radius, radius - 1), "id": f"c{k}"})
+                ids += [f"c{k}:{part}" for part in ("b", "bx", "byx")[case - 1]]
+                continue
+            item = {"between": [ref(), ref()], "id": f"i{k}"}
+            for key in ("gt", "lt"):
+                if rng.random() < 0.3:
+                    item[key] = [rng.choice(ids)]
+            items.append(item)
+            ids.append(f"i{k}")
+        yield radius, {"insert": items}
+
+
+def decoration_order(W, items):
+    """The order ladder.decorate builds from normalized insert items: the
+    closure of W's order plus each item's direct pairs, lo < item < hi
+    and its gt/lt refs.  Returns (k, None) for the first item k whose
+    anchors are not ordered, lower first, in the closure of the window
+    and the pairs before it, else (None, closure).  Raises
+    NotAPartialOrder when the pairs close a cycle."""
+    n = W.n
+    rel = np.eye(n + len(items), dtype=bool)
+    rel[:n, :n] = W.lattice.leq
+    place = {d.ident: d.element for d in W.decorations}
+
+    def elem(anchor):
+        return place[anchor] if isinstance(anchor, str) else W.rail_elem[tuple(anchor)]
+
+    for k, item in enumerate(items):
+        lo, hi = map(elem, item["between"])
+        if lo == hi or not transitive_closure(rel)[lo, hi]:
+            return k, None
+        x = place[item["id"]] = n + k
+        rel[lo, x] = rel[x, hi] = True
+        for ref in item.get("gt", []):
+            rel[elem(ref), x] = True
+        for ref in item.get("lt", []):
+            rel[x, elem(ref)] = True
+    return None, transitive_closure(rel)
+
+
+def structural_verdicts(L):
+    """Modular, distributive and the semidistributive laws from the
+    irreducibles and the covers.  With j_* the lower cover of a join
+    irreducible j and m^* the upper cover of a meet irreducible m, let
+    j <-> m mean j </= m, j_* <= m and j <= m^*.  L is SD-meet iff each j
+    has exactly one such m, SD-join iff each m has exactly one such j,
+    distributive iff no join irreducible D-relates to another, and
+    modular iff upper and lower semimodular on pairs of covers."""
+    leq = L.leq
+    J, M = list(L.join_irreducibles()), list(L.meet_irreducibles())
+    lower = [L.lower_covers[j][0] for j in J]
+    upper = [L.upper_covers[m][0] for m in M]
+    arrows = ~leq[np.ix_(J, M)] & leq[np.ix_(lower, M)] & leq[np.ix_(J, upper)]
+
+    def semimodular(op, covers):
+        # two covers x, y of z on one side have x op y as a cover of each, on that side
+        return all(
+            op[x, y] in covers[x] and op[x, y] in covers[y]
+            for z in range(L.n)
+            for x, y in combinations(covers[z], 2)
+        )
+
+    return {
+        "modular": semimodular(L.join_table, L.upper_covers) and semimodular(L.meet_table, L.lower_covers),
+        "distributive": not _relation(L)[np.ix_(J, J)].any(),
+        "sd-join": bool((arrows.sum(axis=0) == 1).all()),
+        "sd-meet": bool((arrows.sum(axis=1) == 1).all()),
+    }

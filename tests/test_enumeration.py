@@ -382,6 +382,36 @@ def test_verify_corpus_builds_each_lattice_once(monkeypatch):
     assert len(built) == len(set(built)) == sum(LATTICE_COUNTS) + 222 + 1078
 
 
+def test_verify_corpus_holds_one_lattice_at_a_time(monkeypatch):
+    import weakref
+
+    import latkit.classifier
+    import latkit.enumeration
+    import latkit.subalgebra
+
+    live, seen = weakref.WeakSet(), []
+    build = latkit.enumeration._lattice_from_dwn
+    theorem, census = latkit.classifier.check_theorem, latkit.subalgebra.census_one
+
+    def tracked(dwn):
+        L = build(dwn)
+        live.add(L)
+        return L
+
+    def recording(check):
+        def wrapper(L):
+            seen.append(len(live))
+            return check(L)
+
+        return wrapper
+
+    monkeypatch.setattr(latkit.enumeration, "_lattice_from_dwn", tracked)
+    monkeypatch.setattr(latkit.classifier, "check_theorem", recording(theorem))
+    monkeypatch.setattr(latkit.subalgebra, "census_one", recording(census))
+    assert verify_corpus(max_n=9)["prop_width3"]["scanned"] == 1378
+    assert len(seen) == 1378 + 300 and max(seen) <= 2
+
+
 def test_verify_corpus_small():
     report = verify_corpus(max_n=6)
     assert report["pass"]

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import dataclass, replace
 
 import pytest
@@ -9,12 +10,14 @@ from latkit.errors import (
     LatkitError,
     NotACover,
     NotALattice,
+    NotAPartialOrder,
     SizeCapExceeded,
     SplitObstruction,
 )
 from latkit.ladder import (
     LadderWindow,
     _band_sizes,
+    _normalize_spec,
     _split_sides,
     decorate,
     extract_ladder,
@@ -27,9 +30,11 @@ from latkit.properties import is_semidistributive, whitman_w
 from latkit.serialize import to_json_dict
 from latkit.subalgebra import generate_sublattice
 from oracles import (
+    decoration_order,
     ladder_defect,
     oracle_find_isomorphism,
     prime_interval_exclusion_scan,
+    seeded_specs,
     seeded_windows,
 )
 
@@ -160,13 +165,92 @@ def test_decorate_spec_numbers_must_be_integers(item):
         decorate(window(2), {"insert": [item]})
 
 
+class _NoNumpy:
+    """A stand-in for numpy that fails on first use."""
+
+    def __getattr__(self, name):
+        _never()
+
+
 def test_decorate_checks_the_cap_before_allocating(monkeypatch):
     W = window(2)
     monkeypatch.setenv("LATKIT_MAX_N", "20")
-    monkeypatch.setattr("latkit.ladder.transitive_closure", _never)
+    monkeypatch.setattr("latkit.ladder.np", _NoNumpy())
     spec = [{"between": [[0, -2], [1, 2]]} for _ in range(11)]
     with pytest.raises(SizeCapExceeded, match="21 elements exceeds cap 20"):
         decorate(W, spec)
+
+
+CHAINED = {"insert": [{"case": 1, "at": -1, "id": "c0"}, {"between": ["c0:b", [0, 3]], "id": "i1"}]}
+
+
+def test_decorate_orders_anchors_through_earlier_insertions():
+    # c0:b < (0,0) < (0,3): ordered through the window, not by a direct pair
+    W = decorate(window(3), CHAINED)
+    b, i1 = dec_elem(W, "c0:b"), dec_elem(W, "i1")
+    assert W.lattice.lower_covers[i1] == (b,) and W.lattice.upper_covers[i1] == (W.rail(0, 3),)
+
+
+@functools.cache
+def _seeded_decorations():
+    """(window, spec, normalized items, decoration_order's verdict or the
+    NotAPartialOrder it raised) for 400 seeded specs."""
+    cases = []
+    for radius, spec in seeded_specs(400):
+        W, items = window(radius), _normalize_spec(spec)
+        try:
+            verdict = decoration_order(W, items)
+        except NotAPartialOrder as exc:
+            verdict = exc
+        cases.append((W, spec, items, verdict))
+    return cases
+
+
+def _accepted_decorations():
+    for W, spec, _, verdict in _seeded_decorations():
+        if isinstance(verdict, tuple) and verdict[0] is None:
+            try:
+                yield decorate(W, spec), verdict[1]
+            except NotALattice:
+                pass
+
+
+def test_decorate_rejects_an_item_iff_its_anchors_are_unordered_so_far():
+    rejected = 0
+    for W, spec, items, verdict in _seeded_decorations():
+        if isinstance(verdict, NotAPartialOrder):  # a cycle among earlier items stays one
+            with pytest.raises((NotAPartialOrder, BadAttachment)):
+                decorate(W, spec)
+        elif verdict[0] is not None:
+            with pytest.raises(BadAttachment) as info:
+                decorate(W, spec)
+            assert str(info.value) == f"anchors {items[verdict[0]]['between']} are not ordered"
+            rejected += 1
+        else:
+            try:
+                decorate(W, spec)
+            except NotALattice:
+                pass
+    assert 0 < rejected < 400
+
+
+def test_decorated_order_is_the_closure_of_the_direct_pairs():
+    chained = 0
+    for D, closure in _accepted_decorations():
+        assert (D.lattice.leq == closure).all()
+        chained += any(isinstance(a, str) for item in D.spec for a in item["between"])
+    assert chained >= 20
+
+
+def test_accepted_specs_decorate_two_columns_wider():
+    for D, _ in _accepted_decorations():
+        assert decorate(window(D.radius + 2), list(D.spec)).n == D.n + 8
+
+
+def test_split_chained_spec():
+    report = ladder_split(decorate(window(3), CHAINED))
+    assert report.prop1_holds and report.stable
+    assert report.prop2_band == (("c0:b", 1, 1), ("i1", 2, 2))
 
 
 # -- extend_case -----------------------------------------------------------

@@ -15,6 +15,7 @@ import oracles
 from latkit import FiniteLattice, boolean, chain, cube3, linear_sum, m3, n5, product, two_by_chain
 from latkit.core import dual, transitive_closure
 from latkit.errors import NotALattice, NotAPartialOrder
+from latkit.ladder import _normalize_spec, decorate, window
 from latkit.properties import (
     find_forbidden,
     is_distributive,
@@ -97,6 +98,38 @@ def test_forbidden_matches_oracle(stream9, large_shapes):
             assert emb == oracles.find_forbidden(L, pattern), (L, pattern)
             found[pattern] += emb is not None
     assert all(found.values())
+
+
+def _chained_windows():
+    """The seeded specs whose items decoration_order accepts, with a
+    between anchor on an earlier item, that decorate to lattices."""
+    for radius, spec in oracles.seeded_specs(400):
+        W = window(radius)
+        items = _normalize_spec(spec)
+        if any(isinstance(a, str) for item in items for a in item["between"]):
+            try:
+                if oracles.decoration_order(W, items)[0] is None:
+                    yield decorate(W, spec).lattice
+            except (NotALattice, NotAPartialOrder):
+                pass
+
+
+def test_structural_verdicts_match_the_scans(stream9, large_shapes):
+    scans = {
+        "modular": is_modular,
+        "distributive": is_distributive,
+        "sd-join": lambda L: is_semidistributive(L, "join"),
+        "sd-meet": lambda L: is_semidistributive(L, "meet"),
+    }
+    windows = [W.lattice for W in oracles.seeded_windows(40)]
+    chained = list(_chained_windows())
+    rejected = dict.fromkeys(scans, 0)
+    for L in stream9 + large_shapes + [product(chain(10), chain(10))] + windows + chained:
+        verdicts = oracles.structural_verdicts(L)
+        for name, scan in scans.items():
+            assert verdicts[name] == scan(L).verdict, (L, name)
+            rejected[name] += not verdicts[name]
+    assert len(chained) >= 20 and all(rejected.values())
 
 
 def _natural_posets(max_n):
