@@ -8,6 +8,7 @@ byte-identical --json output.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -180,7 +181,9 @@ def _cmd_render(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """Built once; run looks each verb's handler up by name at every call."""
     top = argparse.ArgumentParser(
         prog="latkit", description="finite lattice toolkit"
     )
@@ -188,7 +191,7 @@ def build_parser():
 
     def verb(name, func, summary):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(handler=func.__name__)
         return p
 
     p = verb("check", _cmd_check, "evaluate a property of a lattice file")
@@ -252,7 +255,7 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except InvariantViolated as exc:  # a bug sentinel, never bad input
         bug = exc
     except (LatkitError, ValueError, OSError) as exc:

@@ -56,7 +56,13 @@ class FiniteLattice:
         if not leq.diagonal().all():
             raise ValueError("order matrix must be reflexive")
         if not _validated:
-            self._check_partial_order()
+            _check_antisymmetric(leq)
+            try:  # antisymmetric, so a cycle means a missing transitive pair
+                transitive = (transitive_closure(leq) == leq).all()
+            except NotAPartialOrder:
+                transitive = False
+            if not transitive:
+                raise ValueError("order matrix must be transitive")
         if _tables is None:
             _tables = self._build_tables()
         self.join_table, self.meet_table = _tables
@@ -83,21 +89,6 @@ class FiniteLattice:
                 raise NotAPartialOrder([lo])
             rel[lo, hi] = True
         return cls(transitive_closure(rel), names=names, _validated=True)
-
-    def _check_partial_order(self):
-        leq = self.leq
-        sym = leq & leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            i, j = divmod(int(sym.argmax()), self.n)
-            raise NotAPartialOrder([i, j])
-        # antisymmetric, so a cycle means a missing transitive pair
-        try:
-            transitive = (transitive_closure(leq) == leq).all()
-        except NotAPartialOrder:
-            transitive = False
-        if not transitive:
-            raise ValueError("order matrix must be transitive")
 
     def _build_tables(self):
         """Join and meet tables from the up- and down-set masks.
@@ -348,6 +339,15 @@ def _augment(root, up, owner, seen):
             return None
         stack.append([owner[k], up[owner[k]]])
     return seen
+
+
+def _check_antisymmetric(leq):
+    """Raise NotAPartialOrder naming the least pair i != j with i <= j <= i.
+    On a transitively closed relation that is the least pair on a cycle."""
+    sym = leq & leq.T
+    np.fill_diagonal(sym, False)
+    if sym.any():
+        raise NotAPartialOrder(list(divmod(int(sym.argmax()), leq.shape[0])))
 
 
 def transitive_closure(rel):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import two_by_chain
-from .core import FiniteLattice, check_size, dual
+from .core import FiniteLattice, _check_antisymmetric, check_size, dual
 from .errors import (
     BadAttachment,
     ChainExhausted,
@@ -209,7 +209,8 @@ def decorate(W, spec):
         ident_to_elem[item["id"]] = elem
         decorations.append(Decoration(ident=item["id"], element=elem))
     names = [base.name_of(x) for x in range(n_old)] + [e["id"] for e in items]
-    lattice = FiniteLattice(order, names=names)
+    _check_antisymmetric(order)  # order is closed, so this is the whole check
+    lattice = FiniteLattice(order, names=names, _validated=True)
     return LadderWindow(W.radius, lattice, W.coord, decorations, tuple(W.spec) + tuple(items))
 
 

@@ -16,11 +16,12 @@ normalized to x < y and z < w (the law is symmetric in each pair).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .core import chunk_ranges, first_hit
-from .errors import M3N5Disagreement
+from .errors import InvariantViolated, M3N5Disagreement
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def is_modular(L):
         a, b = np.divmod(ab, n)
         return leq[a] & (join[a[:, None], meet[b]] != meet[join[a, b]])
 
-    return _report("modular", n, fails)
+    return _report("modular", n, fails, _modular(L))
 
 
 def is_distributive(L):
@@ -54,38 +55,73 @@ def is_distributive(L):
         a, b = np.divmod(ab, n)
         return meet[a[:, None], join[b]] != join[meet[a, b][:, None], meet[a]]
 
-    return _report("distributive", n, fails)
+    return _report("distributive", n, fails, _distributive(L))
 
 
 def is_semidistributive(L, side="both"):
     if side not in ("join", "meet", "both"):
         raise ValueError(f"side must be join|meet|both, got {side!r}")
-    n, join, meet = L.n, L.join_table, L.meet_table
+    n, leq, join, meet = L.n, L.leq, L.join_table, L.meet_table
     name = "sd" if side == "both" else f"sd-{side}"
+    # j <-> m for j in J(L), m in M(L): j </= m, j_* <= m and j <= m^*.  L
+    # is SD-join iff each m has one such j, SD-meet iff each j has one such
+    # m (A. Day, Canad. J. Math. 31, 1979; Freese-Jezek-Nation, Ch. 2)
+    J, M = list(L.join_irreducibles()), list(L.meet_irreducibles())
+    lower = [L.lower_covers[j][0] for j in J]  # the j_*
+    upper = [L.upper_covers[m][0] for m in M]  # the m^*
+    at_m = leq[:, M]
+    arrows = ~at_m[J] & at_m[lower] & leq[J][:, upper]
     # SD-join is the law for (op, co) = (join, meet), SD-meet its dual
-    laws = {"join": [(join, meet)], "meet": [(meet, join)]}
+    laws = {"join": [(join, meet, 0)], "meet": [(meet, join, 1)]}
     laws["both"] = laws["join"] + laws["meet"]
-    for op, co in laws[side]:
+    for op, co, axis in laws[side]:
 
         def fails(ab):
             a, b = np.divmod(ab, n)
             lhs = op[a, b][:, None]
             return (op[a] == lhs) & (op[a[:, None], co[b]] != lhs)
 
-        report = _report(name, n, fails)
+        report = _report(name, n, fails, (arrows.sum(axis=axis) == 1).all())
         if not report.verdict:
             return report
     return report
 
 
-def _report(name, n, fails):
-    """Scan (a, b, c) in C order; fails(ab) gives the failing c of each
-    flat a*n + b.  The witness is the least failing triple."""
+def _report(name, n, fails, holds):
+    """holds is the verdict, read off the structure.  A failure scans
+    (a, b, c) in C order for the least failing triple, its witness;
+    fails(ab) gives the failing c of each flat a*n + b."""
+    if holds:
+        return PropertyReport(name, True)
     hit = first_hit(n * n, n, fails)
     if hit is None:
-        return PropertyReport(name, True)
+        raise InvariantViolated(f"{name} fails by structure, but the scan finds no witness")
     a, b = divmod(hit[0], n)
     return PropertyReport(name, False, (a, b, hit[1]))
+
+
+def _modular(L):
+    """Upper and lower semimodular, so modular at finite length (Birkhoff):
+    x + y covers any two upper covers x, y of one element, and dually."""
+    return all(
+        op.item(x, y) in covers[x] and op.item(x, y) in covers[y]
+        for op, covers in ((L.join_table, L.upper_covers), (L.meet_table, L.lower_covers))
+        for c in covers
+        for x, y in combinations(c, 2)
+    )
+
+
+def _distributive(L):
+    """Modular with |J(L)| = l(L), the length heights[top].
+
+    J(x), the join irreducibles below x, grows along each cover, as x is
+    the join of J(x); so |J(x)| >= r(x) in the graded L.  A maximal chain
+    through x adds |J(L)| = l(L) irreducibles in l(L) covers, one each,
+    so |J(x)| = r(x).  Then r(x + y) + r(xy) = r(x) + r(y) and
+    J(xy) = J(x) & J(y) give J(x + y) = J(x) | J(y): x -> J(x) embeds L
+    in 2^J.  Conversely (Birkhoff) L is the down-sets of J(L).
+    """
+    return _modular(L) and len(L.join_irreducibles()) == L.heights[L.top]
 
 
 def whitman_w(L):

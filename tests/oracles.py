@@ -18,17 +18,18 @@ up-set masks of a poset (the census oracle's own), join-cover
 refinement, the join primes, the list of admissible triples, the
 re-check of a forbidden-sublattice embedding, a boolean isomorphism
 test, the block tags of the structure theorem by backtracking
-isomorphism, seeded decorated ladder windows, and seeded decoration
-specs whose items anchor on earlier items.
+isomorphism, seeded decorated ladder windows, seeded decoration specs
+whose items anchor on earlier items, and the weak order on the
+permutations of k letters.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from latkit.catalog import cube3, m3, n5, two_by_chain
-from latkit.core import _dwn_of, _neighbours, canonical_form, refine
+from latkit.core import FiniteLattice, _dwn_of, _neighbours, canonical_form, refine
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.jonsson import _relation, min_join_covers
 from latkit.ladder import decorate, window
@@ -637,3 +638,14 @@ def structural_verdicts(L):
         "sd-join": bool((arrows.sum(axis=0) == 1).all()),
         "sd-meet": bool((arrows.sum(axis=1) == 1).all()),
     }
+
+
+def weak_order(k):
+    """The weak order S_k on the permutations of range(k): p <= q iff
+    every inversion of p is an inversion of q.  It is semidistributive
+    and, for k >= 3, not modular."""
+    inversions = [
+        {(p[i], p[j]) for i, j in combinations(range(k), 2) if p[i] > p[j]}
+        for p in permutations(range(k))
+    ]
+    return FiniteLattice([[a <= b for b in inversions] for a in inversions])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latkit import chain, cube3, linear_sum, m3, n5, save_lattice, two_by_chain
-from latkit.cli import run
+from latkit import boolean, chain, cube3, linear_sum, m3, n5, save_lattice, two_by_chain
+from latkit.cli import build_parser, run
 from latkit.properties import whitman_w
 from latkit.serialize import load_lattice, to_dot
 
@@ -75,6 +75,30 @@ def test_internal_error_exits_three(monkeypatch, n5_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: table out of step second line\n"
+
+
+def test_run_looks_up_a_rebound_handler(monkeypatch, n5_file):
+    import latkit.cli
+
+    assert run(["check", n5_file, "--property", "modular"]) == 0
+    monkeypatch.setattr(latkit.cli, "_cmd_check", lambda args: 7)
+    assert run(["check", n5_file, "--property", "modular"]) == 7
+    assert build_parser() is build_parser()  # built once per process
+
+
+def test_structural_failure_without_a_witness_exits_three(monkeypatch, tmp_path, capsys):
+    from latkit import properties
+    from latkit.errors import InvariantViolated
+
+    monkeypatch.setattr(properties, "_modular", lambda L: False)
+    with pytest.raises(InvariantViolated):
+        properties.is_modular(boolean(3))
+    path = tmp_path / "b3.json"
+    save_lattice(boolean(3), path)
+    assert run(["check", str(path), "--property", "modular"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: InvariantViolated: modular fails by structure, but the scan finds no witness\n"
 
 
 def test_bug_sentinel_exits_three(monkeypatch, n5_file, capsys):

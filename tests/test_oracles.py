@@ -85,9 +85,18 @@ def test_restrict_and_dual_tables_match_oracles(stream7):
 
 
 def test_checkers_match_oracles(stream9, large_shapes):
-    for L in stream9 + large_shapes:
+    """Verdict and witness; the library reads a verdict off the covers and
+    irreducibles, and scans only for a failure's witness."""
+    windows = [W.lattice for W in oracles.seeded_windows(40)]
+    weak = oracles.weak_order(4)
+    verdicts = set()
+    for L in stream9 + large_shapes + windows + list(_chained_windows()) + [weak]:
         for fast, slow in CHECKERS:
-            assert fast(L) == slow(L), L
+            report = fast(L)
+            assert report == slow(L), L
+            verdicts.add((report.property, report.verdict))
+    assert len(verdicts) == 2 * len(CHECKERS)
+    assert is_semidistributive(weak).verdict and not is_modular(weak).verdict
 
 
 def test_forbidden_matches_oracle(stream9, large_shapes):
@@ -116,10 +125,10 @@ def _chained_windows():
 
 def test_structural_verdicts_match_the_scans(stream9, large_shapes):
     scans = {
-        "modular": is_modular,
-        "distributive": is_distributive,
-        "sd-join": lambda L: is_semidistributive(L, "join"),
-        "sd-meet": lambda L: is_semidistributive(L, "meet"),
+        "modular": oracles.is_modular,
+        "distributive": oracles.is_distributive,
+        "sd-join": lambda L: oracles.is_semidistributive(L, "join"),
+        "sd-meet": lambda L: oracles.is_semidistributive(L, "meet"),
     }
     windows = [W.lattice for W in oracles.seeded_windows(40)]
     chained = list(_chained_windows())

@@ -5,6 +5,7 @@ import pytest
 
 from latkit import (
     FiniteLattice,
+    boolean,
     chain,
     cube3,
     dual,
@@ -25,7 +26,7 @@ from latkit.properties import (
     m3n5_crosscheck,
     whitman_w,
 )
-from oracles import embedding_is_valid, oracle_find_isomorphism
+from oracles import embedding_is_valid, oracle_find_isomorphism, weak_order
 
 
 # -- independent oracles: plain full quantification, no early exits ------
@@ -256,6 +257,18 @@ def test_witnesses_recheck(stream6):
                 a, L.join(b, c)
             )
             assert join_bad or meet_bad
+
+
+def test_a_passing_verdict_runs_no_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned a lattice that passes")
+
+    monkeypatch.setattr(properties, "first_hit", no_scan)
+    for L in (chain(1), boolean(4), two_by_chain(6), product(chain(3), chain(4))):
+        assert is_modular(L).verdict and is_distributive(L).verdict
+        assert is_semidistributive(L, "both").verdict
+    assert is_semidistributive(weak_order(4), "both").verdict
+    assert is_modular(m3()).verdict
 
 
 def test_check_property_dispatch():
