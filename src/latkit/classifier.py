@@ -16,7 +16,7 @@ import numpy as np
 from .catalog import cube3
 from .core import canonical_key, first_hit
 from .errors import InvariantViolated, PreconditionFailed, TheoremDisagreement
-from .properties import is_distributive, is_modular
+from .properties import _distributive, _modular
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def classify_block(L, members):
 def check_theorem(L):
     """Evaluate both sides of the finite structure theorem and insist
     they agree; disagreement is an implementation-bug sentinel."""
-    distributive = is_distributive(L).verdict
+    distributive = _distributive(L)
     dr_free = not L.doubly_reducibles()
     blocks = tuple(
         TaggedBlock(members, pos, classify_block(L, members))
@@ -111,7 +111,7 @@ def _rail_map(L):
     high = next((up for up in ups if up.sum() == m), None)
     if L.n % 2 or high is None:
         return None
-    order = L.leq.sum(axis=0).argsort(kind="stable")
+    order = np.asarray(L.topo_order)
     f = np.empty(L.n, dtype=int)
     f[order[~high[order]]] = np.arange(m)
     f[order[high[order]]] = np.arange(m, L.n)
@@ -137,7 +137,7 @@ def constructive_iso_2xc(L):
 
     Returns a list f with f[x] the image of x in two_by_chain(n // 2).
     """
-    if not is_modular(L).verdict:
+    if not _modular(L):
         raise PreconditionFailed("modular")
     if L.width() != 2:
         raise PreconditionFailed("width-2")

@@ -71,11 +71,7 @@ def _cmd_classify(args):
 
 
 def _cmd_gadget(args):
-    L = _load(args.file)
-    for name, value in (("a", args.a), ("b", args.b), ("c", args.c)):
-        if not 0 <= value < L.n:
-            raise LatkitError(f"element {name}={value} out of range for n={L.n}")
-    report = gadget(L, args.a, args.b, args.c)
+    report = gadget(_load(args.file), args.a, args.b, args.c)
     _dump(report.to_json_dict())
     return 0
 

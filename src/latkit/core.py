@@ -270,11 +270,14 @@ class FiniteLattice:
         return [tuple(np.flatnonzero(leq[lo] & leq[:, hi]).tolist()) for lo, hi in zip(starts, ends)]
 
     def restrict(self, subset):
-        """Induced lattice on a subset of distinct elements: this lattice
-        itself for all of it.  A join/meet-closed subset keeps this
-        lattice's tables, renumbered; any other subset gets rebuilt
-        tables, which re-verify unique bounds."""
+        """Induced lattice on a subset of distinct elements of 0..n-1:
+        this lattice itself for all of it.  A join/meet-closed subset
+        keeps this lattice's tables, renumbered; any other subset gets
+        rebuilt tables, which re-verify unique bounds."""
         subset = sorted(subset)
+        outside = next((x for x in subset if not 0 <= x < self.n), None)
+        if outside is not None:
+            raise ValueError(f"element {outside} out of range for n={self.n}")
         repeat = next((x for x, y in zip(subset, subset[1:]) if x == y), None)
         if repeat is not None:
             raise ValueError(f"element {repeat} repeats in the subset")
@@ -478,6 +481,18 @@ def dual(L):
     D = FiniteLattice(L.leq.T, names=L.names, _validated=True, _tables=tables)
     D.lower_covers, D.upper_covers = L.upper_covers, L.lower_covers
     return D
+
+
+def arrows(L):
+    """(J, M, up, down): the lists of join and meet irreducibles and
+    the arrow relations over all elements.  up[x, i] iff x </= M[i]
+    and x <= M[i]^*, the upper cover of M[i] (x up-arrow M[i]);
+    down[x, k] iff J[k] </= x and J[k]_* <= x, with J[k]_* the lower
+    cover of J[k] (J[k] down-arrow x)."""
+    leq, J, M = L.leq, list(L.join_irreducibles()), list(L.meet_irreducibles())
+    up = leq[:, [L.upper_covers[m][0] for m in M]] & ~leq[:, M]
+    down = (leq[[L.lower_covers[j][0] for j in J]] & ~leq[J]).T
+    return J, M, up, down
 
 
 # -- isomorphism and canonical forms -----------------------------------

@@ -36,17 +36,31 @@ nontrivial join cover B.  If q is not in B, every member of B below q
 lies below q_*, so join(B) <= q_* v m = m, against p <= join(B) and
 p </= m.  So q is in B.
 
-An m with q <= m never serves, since then q v m = m.  So D is computed
-in one boolean pass over p and the pairs (q, m) with q_* <= m and
-q </= m, at most n |J| |M| steps, in row chunks; D of the dual is this
-pass on dual(L).
+The same relation reads off two arrow tables.  For m meet-irreducible
+with upper cover m^*, p up-arrow m iff p </= m and p <= m^*; for q
+join-irreducible, q down-arrow m iff q </= m and q_* <= m (core.arrows).
+Then
+
+    p D q  iff  p != q and some meet-irreducible m has
+                p up-arrow m and q down-arrow m.
+
+(=>) Enlarge an m of the rule above to a maximal m' with p </= m'.  As
+before m' is meet-irreducible, and p <= m'^* by maximality; q_* <= m'
+and p <= q v m', so q </= m'.  And p != q as p </= q.  (<=) q </= m
+gives q v m >= m^* >= p, and q_* <= m.  And p </= q: p < q would give
+p <= q_* <= m.  So D is one boolean pass over p and the pairs
+(q, m) with q down-arrow m, at most n |J| |M| steps, in row chunks.  In
+the dual, J and M swap and so do the arrows: p up-arrow j there iff
+j down-arrow p here, and q down-arrow j there iff j up-arrow q here.  So
+the dual's D is the same pass with the two tables swapped, and both
+sides read one arrow computation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _masks, chunk_ranges, dual
+from .core import _masks, arrows, chunk_ranges
 
 
 def min_join_covers(L, x):
@@ -87,23 +101,19 @@ def min_join_covers(L, x):
     return covers
 
 
-def _relation(L):
-    """Bool matrix rel with rel[p, q] iff p D q in L."""
-    leq, n = L.leq, L.n
-    J = np.asarray(L.join_irreducibles(), dtype=np.intp)
-    lower = np.asarray([L.lower_covers[q][0] for q in J.tolist()], dtype=np.intp)
-    M = np.asarray(L.meet_irreducibles(), dtype=np.intp)
-    # the pairs (q, m) with q_* <= m and q </= m, grouped by q; every q
-    # has one (a maximal element above q_* and not above q), so no group
-    # is empty, as reduceat needs
-    qi, mi = np.nonzero(leq[np.ix_(lower, M)] & ~leq[np.ix_(J, M)])
-    q_or_m, m = L.join_table[J[qi], M[mi]], M[mi]
+def _relation(J, M, up, down):
+    """Bool matrix rel with rel[p, q] iff p D q, from the arrows of
+    core.arrows; _relation(M, J, down, up) is D of the dual."""
+    n = len(up)
+    # the pairs (q, m) with q down-arrow m, grouped by q; every q has one
+    # (a maximal element above q_* and not above q), so no group is
+    # empty, as reduceat needs
+    qi, mi = np.nonzero(down[M].T)
     starts = np.searchsorted(qi, np.arange(len(J)))
     rel = np.zeros((n, n), dtype=bool)
     for start, stop in chunk_ranges(n, max(1, len(qi))):
-        rows = leq[start:stop]
-        witness = rows[:, q_or_m] & ~rows[:, m]
-        rel[start:stop, J] = np.logical_or.reduceat(witness, starts, axis=1) & ~rows[:, J]
+        rel[start:stop, J] = np.logical_or.reduceat(up[start:stop, mi], starts, axis=1)
+    np.fill_diagonal(rel, False)
     return rel
 
 
@@ -129,11 +139,11 @@ class DSequence:
         }
 
 
-def _layers(L):
-    """D_0 <= D_1 <= ... from the D relation, until a layer repeats.
+def _layers(rel):
+    """D_0 <= D_1 <= ... from the D relation rel, until a layer repeats.
     D_0 is never empty (it holds the bottom), so it differs from the
     empty start."""
-    succ = _masks(_relation(L))
+    succ = _masks(rel)
     layers, inside = [], 0
     while True:
         nxt = sum(1 << p for p, s in enumerate(succ) if not s & ~inside)
@@ -146,8 +156,8 @@ def _layers(L):
 
 def d_sequence(L):
     """Compute D(L), its dual, and the quadrant verdict."""
-    layers = _layers(L)
-    dual_layers = _layers(dual(L))
+    J, M, up, down = arrows(L)
+    layers, dual_layers = _layers(_relation(J, M, up, down)), _layers(_relation(M, J, down, up))
     full = layers[-1]
     dual_full = dual_layers[-1]
     everything = frozenset(range(L.n))

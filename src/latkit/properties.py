@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import chunk_ranges, first_hit
+from .core import arrows, chunk_ranges, first_hit
 from .errors import InvariantViolated, M3N5Disagreement
 
 
@@ -61,16 +61,13 @@ def is_distributive(L):
 def is_semidistributive(L, side="both"):
     if side not in ("join", "meet", "both"):
         raise ValueError(f"side must be join|meet|both, got {side!r}")
-    n, leq, join, meet = L.n, L.leq, L.join_table, L.meet_table
+    n, join, meet = L.n, L.join_table, L.meet_table
     name = "sd" if side == "both" else f"sd-{side}"
-    # j <-> m for j in J(L), m in M(L): j </= m, j_* <= m and j <= m^*.  L
+    # j <-> m for j in J(L), m in M(L): j up-arrow m and j down-arrow m.  L
     # is SD-join iff each m has one such j, SD-meet iff each j has one such
     # m (A. Day, Canad. J. Math. 31, 1979; Freese-Jezek-Nation, Ch. 2)
-    J, M = list(L.join_irreducibles()), list(L.meet_irreducibles())
-    lower = [L.lower_covers[j][0] for j in J]  # the j_*
-    upper = [L.upper_covers[m][0] for m in M]  # the m^*
-    at_m = leq[:, M]
-    arrows = ~at_m[J] & at_m[lower] & leq[J][:, upper]
+    J, M, up, down = arrows(L)
+    double = up[J] & down[M].T
     # SD-join is the law for (op, co) = (join, meet), SD-meet its dual
     laws = {"join": [(join, meet, 0)], "meet": [(meet, join, 1)]}
     laws["both"] = laws["join"] + laws["meet"]
@@ -81,7 +78,7 @@ def is_semidistributive(L, side="both"):
             lhs = op[a, b][:, None]
             return (op[a] == lhs) & (op[a[:, None], co[b]] != lhs)
 
-        report = _report(name, n, fails, (arrows.sum(axis=axis) == 1).all())
+        report = _report(name, n, fails, (double.sum(axis=axis) == 1).all())
         if not report.verdict:
             return report
     return report
@@ -219,19 +216,18 @@ def m3n5_crosscheck(L):
     N5 nor M3 occurs.  A disagreement would falsify the implementation,
     never the theorem.
     """
-    mod = is_modular(L)
-    dist = is_distributive(L)
+    mod, dist = _modular(L), _distributive(L)
     emb_n5 = find_forbidden(L, "N5")
     emb_m3 = find_forbidden(L, "M3")
-    if mod.verdict != (emb_n5 is None):
+    if mod != (emb_n5 is None):
         raise M3N5Disagreement(
-            f"modular={mod.verdict} but N5 embedding={emb_n5} (witness {mod.witness})"
+            f"modular={mod} but N5 embedding={emb_n5} (witness {is_modular(L).witness})"
         )
-    if dist.verdict != (emb_n5 is None and emb_m3 is None):
+    if dist != (emb_n5 is None and emb_m3 is None):
         raise M3N5Disagreement(
-            f"distributive={dist.verdict} but embeddings N5={emb_n5} M3={emb_m3}"
+            f"distributive={dist} but embeddings N5={emb_n5} M3={emb_m3}"
         )
-    return CrossCheckReport(mod.verdict, dist.verdict, emb_n5, emb_m3)
+    return CrossCheckReport(mod, dist, emb_n5, emb_m3)
 
 
 def _forbidden(L, pattern):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteLattice, _dwn_of, _leq_of, canonical_form, chunk_ranges, preserves_operations
-from .errors import BadConfiguration, InvariantViolated, UniversalityFailure
+from .errors import BadConfiguration, InvariantViolated, LatkitError, UniversalityFailure
 from .freeterm import eval_term, parse
 
 FLP_TERMS = {  # in the element order of flp_nine
@@ -140,6 +140,9 @@ def gadget(L, a, b, c):
     gadget is FL(P)/theta, where theta is the fingerprint's partition (the
     kernel of that homomorphism), so its iso class is a function of its
     fingerprint."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not 0 <= value < L.n:
+            raise LatkitError(f"element {name}={value} out of range for n={L.n}")
     if len({a, b, c}) != 3:
         raise BadConfiguration("a, b, c distinct")
     if not (L.le(b, c) and b != c):

@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from latkit.catalog import cube3, m3, n5, two_by_chain
-from latkit.core import FiniteLattice, _dwn_of, _neighbours, canonical_form, refine
+from latkit.core import FiniteLattice, _dwn_of, _neighbours, arrows, canonical_form, refine
 from latkit.errors import NotALattice, NotAPartialOrder
 from latkit.jonsson import _relation, min_join_covers
 from latkit.ladder import decorate, window
@@ -399,7 +399,7 @@ def refines(L, xp, x):
 
 def join_primes(L):
     """Elements with no nontrivial join cover at all: no D-successor."""
-    return tuple(np.flatnonzero(~_relation(L).any(axis=1)).tolist())
+    return tuple(np.flatnonzero(~_relation(*arrows(L)).any(axis=1)).tolist())
 
 
 def admissible_triples(L):
@@ -622,7 +622,7 @@ def structural_verdicts(L):
     J, M = list(L.join_irreducibles()), list(L.meet_irreducibles())
     lower = [L.lower_covers[j][0] for j in J]
     upper = [L.upper_covers[m][0] for m in M]
-    arrows = ~leq[np.ix_(J, M)] & leq[np.ix_(lower, M)] & leq[np.ix_(J, upper)]
+    double = ~leq[np.ix_(J, M)] & leq[np.ix_(lower, M)] & leq[np.ix_(J, upper)]
 
     def semimodular(op, covers):
         # two covers x, y of z on one side have x op y as a cover of each, on that side
@@ -634,9 +634,9 @@ def structural_verdicts(L):
 
     return {
         "modular": semimodular(L.join_table, L.upper_covers) and semimodular(L.meet_table, L.lower_covers),
-        "distributive": not _relation(L)[np.ix_(J, J)].any(),
-        "sd-join": bool((arrows.sum(axis=0) == 1).all()),
-        "sd-meet": bool((arrows.sum(axis=1) == 1).all()),
+        "distributive": not _relation(*arrows(L))[np.ix_(J, J)].any(),
+        "sd-join": bool((double.sum(axis=0) == 1).all()),
+        "sd-meet": bool((double.sum(axis=1) == 1).all()),
     }
 
 

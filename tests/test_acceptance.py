@@ -31,7 +31,7 @@ from latkit.freeterm import (
     generators,
     random_term,
 )
-from latkit.jonsson import _layers, d_sequence, min_join_covers
+from latkit.jonsson import d_sequence, min_join_covers
 from latkit.ladder import (
     decorate,
     extract_ladder,
@@ -250,7 +250,7 @@ def test_criterion_7_d_sequence(stream7, stream8):
         for x in range(L.n):
             if min_join_covers(L, x) != oracle_min_join_covers(L, x):
                 ok = False
-        if [frozenset(s) for s in _layers(L)] != [
+        if [frozenset(s) for s in d_sequence(L).layers] != [
             frozenset(s) for s in oracle_d_layers(L)
         ]:
             ok = False

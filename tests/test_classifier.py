@@ -14,7 +14,7 @@ from latkit import (
     product,
     two_by_chain,
 )
-from latkit import classifier
+from latkit import classifier, properties
 from latkit.classifier import (
     _rail_map,
     check_theorem,
@@ -190,6 +190,24 @@ def test_constructive_iso_preconditions():
     with pytest.raises(PreconditionFailed) as info:
         constructive_iso_2xc(linear_sum(two_by_chain(2), two_by_chain(2)))
     assert info.value.name == "indecomposable"
+
+
+def test_verdict_only_readers_skip_the_witness_scan(monkeypatch):
+    """check_theorem, constructive_iso_2xc and m3n5_crosscheck read the
+    structural verdicts, never a PropertyReport with its witness scan."""
+
+    def no_report(*args):
+        raise AssertionError("built a property report")
+
+    monkeypatch.setattr(properties, "_report", no_report)
+    verdict = check_theorem(n5())
+    assert not verdict.distributive and not verdict.passes
+    with pytest.raises(PreconditionFailed) as info:
+        constructive_iso_2xc(n5())
+    assert info.value.name == "modular"
+    report = properties.m3n5_crosscheck(n5())
+    assert not report.modular and not report.distributive
+    assert report.n5_embedding is not None and report.m3_embedding is None
 
 
 def test_rail_map_matches_oracle(stream9):

@@ -399,6 +399,15 @@ def test_restrict_to_everything_is_the_lattice_itself():
         L.restrict([0, 1, 1, 3, 4])
 
 
+def test_restrict_rejects_elements_out_of_range():
+    # a negative index would wrap around to element n - 1
+    L = n5()
+    with pytest.raises(ValueError, match=r"element -1 out of range for n=5"):
+        L.restrict([-1, 0])
+    with pytest.raises(ValueError, match=r"element 7 out of range for n=5"):
+        L.restrict([0, 7])
+
+
 def test_heights_and_tops():
     L = two_by_chain(3)
     assert L.bottom == 0

@@ -324,6 +324,7 @@ def test_verify_corpus_counts_m3n5_disagreements(monkeypatch):
 
     # a modular checker that always says no disagrees on every N5-free lattice
     fake = latkit.properties.PropertyReport("modular", False, (0, 0, 0))
+    monkeypatch.setattr(latkit.properties, "_modular", lambda L: False)
     monkeypatch.setattr(latkit.properties, "is_modular", lambda L: fake)
     expected = sum(1 for L in iter_lattices(5) if latkit.properties.find_forbidden(L, "N5") is None)
     report = verify_corpus(max_n=5)

@@ -6,6 +6,7 @@ import pytest
 
 import latkit.core
 from latkit import FiniteLattice, boolean, chain, dual, linear_sum, m3, n5, product, two_by_chain
+from latkit.core import arrows
 from latkit.enumeration import all_lattices
 from latkit.jonsson import (
     _layers,
@@ -124,7 +125,7 @@ def test_min_covers_match_subset_oracle(stream7):
 
 def test_layers_match_subset_oracle(stream7):
     for L in stream7:
-        fast = [frozenset(layer) for layer in _layers(L)]
+        fast = [frozenset(layer) for layer in _layers(_relation(*arrows(L)))]
         slow = [frozenset(layer) for layer in oracle_d_layers(L)]
         assert fast == slow
 
@@ -141,14 +142,14 @@ def test_d_relation_matches_min_join_covers(stream9, monkeypatch, chunk):
     shapes = [product(chain(6), chain(8)), linear_sum(boolean(5), n5()), product(n5(), m3())]
     shuffled = [L.relabel(rng.sample(range(L.n), L.n)) for L in shapes]
     for L in stream9 + [two_by_chain(24), boolean(5), diamond(7)] + shapes + shuffled:
-        for side in (L, dual(L)):
-            rel = _relation(side)
+        ds, (J, M, up, down) = d_sequence(L), arrows(L)
+        relations = _relation(J, M, up, down), _relation(M, J, down, up)
+        for side, rel, layers in zip((L, dual(L)), relations, (ds.layers, ds.dual_layers)):
             for p in range(L.n):
                 members = {q for X in min_join_covers(side, p) for q in X}
                 assert set(rel[p].nonzero()[0].tolist()) == members
-        assert _layers(L) == oracle_layers_from_covers(L)
-        ds = d_sequence(L)
-        assert [frozenset(layer) for layer in ds.dual_layers] == oracle_layers_from_covers(dual(L))
+            assert _layers(rel) == oracle_layers_from_covers(side)
+            assert [frozenset(layer) for layer in layers] == _layers(rel)
 
 
 def _bounded_counts(lattices, max_n):

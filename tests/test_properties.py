@@ -17,7 +17,6 @@ from latkit import (
 from latkit import properties
 from latkit.errors import M3N5Disagreement
 from latkit.properties import (
-    PropertyReport,
     check_property,
     find_forbidden,
     is_distributive,
@@ -174,9 +173,7 @@ def test_crosscheck_agree_is_computed(monkeypatch):
         n5_free = report.n5_embedding is None
         assert report.modular == n5_free
         assert report.distributive == (n5_free and report.m3_embedding is None)
-    monkeypatch.setattr(
-        properties, "is_modular", lambda L: PropertyReport("modular", True)
-    )
+    monkeypatch.setattr(properties, "_modular", lambda L: True)
     with pytest.raises(M3N5Disagreement):
         m3n5_crosscheck(n5())
 

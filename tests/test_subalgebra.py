@@ -12,7 +12,7 @@ from latkit import (
     n5,
     two_by_chain,
 )
-from latkit.errors import BadConfiguration, SplitObstruction
+from latkit.errors import BadConfiguration, LatkitError, SplitObstruction
 from latkit.ladder import extract_ladder
 from latkit.subalgebra import (
     FLP_DUALITY,
@@ -102,6 +102,15 @@ def test_gadget_preconditions():
         gadget(L, 2, 3, 1)  # b not below c
     with pytest.raises(BadConfiguration):
         gadget(L, 0, 1, 3)  # a comparable to b
+
+
+def test_gadget_rejects_elements_out_of_range():
+    # a negative index would wrap around to element n - 1
+    L = n5()
+    with pytest.raises(LatkitError, match=r"element a=-1 out of range for n=5"):
+        gadget(L, -1, 1, 3)
+    with pytest.raises(LatkitError, match=r"element c=5 out of range for n=5"):
+        gadget(L, 2, 1, 5)
 
 
 def test_gadget_n5_case_one():
