@@ -2,8 +2,9 @@
 evaluation.
 
 free_leq implements Whitman's classical recursion: joins on the left
-and meets on the right decompose universally, generators existentially,
-and the remaining meet-vs-join case splits by (W).  Canonical form
+and meets on the right decompose universally, generators existentially
+(read off the generator masks below), and the remaining meet-vs-join
+case splits by (W).  Canonical form
 follows the standard characterization: a join w = w1 + ... + wn is
 canonical iff every wi is canonical and not a join, no wi sits below
 the join of the others, and no meet component of any wi lies below w
@@ -16,10 +17,40 @@ A term is a generator, the str of its name, or a Join or Meet of at
 least two terms.  Grammar: term := factor ('+' factor)*;
 factor := atom ('*' atom)*; atom := ident | '(' term ')'.  Meet binds
 tighter than join.
+
+Generator masks.  Every generator name gets one bit from a
+module-level registry (name -> bit), which grows by one entry for
+each distinct name the process ever builds or compares; a mask is an
+int over those bits.  A generator's two masks are its own bit, and
+every Join or Meet t carries two more, computed when it is built:
+
+    lower(t) = {x : x <= t},  the OR of the children's lower masks
+               for a join and their AND for a meet;
+    upper(t) = {x : t <= x},  the AND of the children's upper masks
+               for a join and their OR for a meet.
+
+Lemma: these are exactly the generators below and above t in FL(X).
+Proof by induction on t.  For a generator y, x <= y iff x = y.  For a
+join, t <= x iff every child is <= x; for a meet, x <= t iff x is
+below every child.  The other two cases are Whitman's generator cases:
+a generator x is join-prime in FL(X), so x <= t1 + ... + tn iff
+x <= ti for some i, and dually meet-prime, so t1 * ... * tn <= x iff
+ti <= x for some i.  Each case is the mask rule above.
+
+So free_leq(s, t) opens with two set tests.  If s <= t, then every
+generator below s is below t and every generator above t is above s,
+so lower(s) - lower(t) or upper(t) - upper(s) nonempty gives False.
+If some generator x is in upper(s) & lower(t), then s <= x <= t, which
+gives True.  When s is a generator x, lower(s) = {x}: either x is in
+lower(t), and the second test answers True, or the first answers
+False; dually when t is a generator.  So every pair with a generator
+on either side is decided without recursion, and only join-left,
+meet-right and meet-vs-join pairs recurse.
 """
 
 import re
 from functools import lru_cache
+from itertools import count
 
 from .errors import TermSyntaxError, UnboundGenerator
 
@@ -31,9 +62,30 @@ from .errors import TermSyntaxError, UnboundGenerator
 MAX_TERM_DEPTH = 40
 MAX_NODE_DEPTH = 2 * (MAX_TERM_DEPTH + 1)
 
+# Generator name -> its mask bit.  Entries are never removed, so masks
+# stay valid for the life of the process; the counter hands out each
+# bit once even if two threads register names at the same time.
+_BITS = {}
+_NEXT_BIT = count()
+
+
+def _bit(name):
+    bit = _BITS.get(name)
+    if bit is None:
+        bit = _BITS.setdefault(name, 1 << next(_NEXT_BIT))
+    return bit
+
+
+def _masks(t):
+    """(lower, upper): the generators below and above t, as bit masks."""
+    if isinstance(t, str):
+        bit = _bit(t)
+        return bit, bit
+    return t.lower, t.upper
+
 
 class _Compound:
-    __slots__ = ("args", "_hash", "depth")
+    __slots__ = ("args", "_hash", "depth", "lower", "upper")
     _tag = ""
 
     def __init__(self, args):
@@ -41,23 +93,45 @@ class _Compound:
         if len(args) < 2:
             raise ValueError(f"{self._tag} node needs >= 2 children")
         kind, flat, depth = type(self), [], 1
+        # a join ORs lower and ANDs upper, a meet the reverse: `ored`
+        # and `anded` accumulate the children's masks in those roles
+        is_join, ored, anded = kind._tag == "join", 0, -1
         for arg in args:
+            if isinstance(arg, str):
+                flat.append(arg)
+                bit = _bit(arg)
+                ored |= bit
+                anded &= bit
+                continue
             if isinstance(arg, kind):
                 flat.extend(arg.args)
                 if arg.depth > depth:
                     depth = arg.depth
             else:
                 flat.append(arg)
-                if not isinstance(arg, str) and arg.depth >= depth:
+                if arg.depth >= depth:
                     depth = arg.depth + 1
+            if is_join:
+                ored |= arg.lower
+                anded &= arg.upper
+            else:
+                ored |= arg.upper
+                anded &= arg.lower
         if depth > MAX_NODE_DEPTH:
             raise ValueError(f"term nests deeper than {MAX_NODE_DEPTH}")
+        lower, upper = (ored, anded) if is_join else (anded, ored)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "args", tuple(flat))
         object.__setattr__(self, "_hash", hash((self._tag, self.args)))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
+
+    def __reduce__(self):
+        # rebuild on load: the hash and the masks belong to this process
+        return type(self), (self.args,)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.args == other.args
@@ -167,16 +241,17 @@ def format_term(t):
 @lru_cache(maxsize=None)
 def free_leq(s, t):
     """Whether s <= t holds in the free lattice."""
-    if isinstance(s, str) and isinstance(t, str):
-        return s == t
+    s_lower, s_upper = _masks(s)
+    t_lower, t_upper = _masks(t)
+    if s_lower & ~t_lower or t_upper & ~s_upper:
+        return False
+    if s_upper & t_lower:  # s <= x <= t for a generator x
+        return True
+    # neither side is a generator (see the module docstring)
     if isinstance(s, Join):
         return all(free_leq(si, t) for si in s.args)
     if isinstance(t, Meet):
         return all(free_leq(s, tj) for tj in t.args)
-    if isinstance(s, str):  # t is a join: generators are join prime
-        return any(free_leq(s, tj) for tj in t.args)
-    if isinstance(t, str):  # s is a meet: dual
-        return any(free_leq(si, t) for si in s.args)
     # s is a meet, t is a join: Whitman's condition
     return any(free_leq(si, t) for si in s.args) or any(
         free_leq(s, tj) for tj in t.args

@@ -220,9 +220,7 @@ def m3n5_crosscheck(L):
     emb_n5 = find_forbidden(L, "N5")
     emb_m3 = find_forbidden(L, "M3")
     if mod != (emb_n5 is None):
-        raise M3N5Disagreement(
-            f"modular={mod} but N5 embedding={emb_n5} (witness {is_modular(L).witness})"
-        )
+        raise M3N5Disagreement(f"modular={mod} but N5 embedding={emb_n5}")
     if dist != (emb_n5 is None and emb_m3 is None):
         raise M3N5Disagreement(
             f"distributive={dist} but embeddings N5={emb_n5} M3={emb_m3}"

@@ -8,8 +8,9 @@ isomorphism by refinement and backtracking, the re-checks of a
 ladder that ladder.extract_ladder's docstring proves, and the
 prime-interval scan that ladder.ladder_split's docstring proves empty
 on every SD-join lattice, the order ladder.decorate builds by closing
-all its direct pairs at once, and the modular, distributive and
-semidistributive verdicts read off the irreducibles and the covers.
+all its direct pairs at once, the modular, distributive and
+semidistributive verdicts read off the irreducibles and the covers,
+and Whitman's word-problem recursion without generator masks.
 Each returns what the library function returns, witness and error pair
 included.
 
@@ -31,6 +32,7 @@ import numpy as np
 from latkit.catalog import cube3, m3, n5, two_by_chain
 from latkit.core import FiniteLattice, _dwn_of, _neighbours, arrows, canonical_form, refine
 from latkit.errors import NotALattice, NotAPartialOrder
+from latkit.freeterm import Join, Meet
 from latkit.jonsson import _relation, min_join_covers
 from latkit.ladder import decorate, window
 from latkit.properties import PropertyReport
@@ -649,3 +651,30 @@ def weak_order(k):
         for p in permutations(range(k))
     ]
     return FiniteLattice([[a <= b for b in inversions] for a in inversions])
+
+
+def whitman_leq(s, t):
+    """Whether s <= t in the free lattice, by Whitman's recursion case
+    by case, with a memo local to the call."""
+    memo = {}
+
+    def leq(s, t):
+        if (s, t) not in memo:
+            memo[s, t] = decide(s, t)
+        return memo[s, t]
+
+    def decide(s, t):
+        if isinstance(s, str) and isinstance(t, str):
+            return s == t
+        if isinstance(s, Join):
+            return all(leq(si, t) for si in s.args)
+        if isinstance(t, Meet):
+            return all(leq(s, tj) for tj in t.args)
+        if isinstance(s, str):  # t is a join: generators are join prime
+            return any(leq(s, tj) for tj in t.args)
+        if isinstance(t, str):  # s is a meet: dual
+            return any(leq(si, t) for si in s.args)
+        # s is a meet, t is a join: Whitman's condition
+        return any(leq(si, t) for si in s.args) or any(leq(s, tj) for tj in t.args)
+
+    return leq(s, t)

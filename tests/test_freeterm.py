@@ -1,7 +1,14 @@
+import copy
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+import latkit
 from latkit import boolean, m3
 from latkit.enumeration import all_lattices
 from latkit.errors import TermSyntaxError, UnboundGenerator
@@ -9,6 +16,7 @@ from latkit.freeterm import (
     MAX_TERM_DEPTH,
     Join,
     Meet,
+    _masks,
     canonical,
     eval_term,
     format_term,
@@ -19,6 +27,7 @@ from latkit.freeterm import (
     random_term,
     term_key,
 )
+from oracles import whitman_leq
 
 
 def test_parse_examples():
@@ -256,3 +265,82 @@ def test_built_terms_nest_no_deeper_than_parse_allows():
         tree = "x"
         for level in range(400):
             tree = (Join if level % 2 else Meet)([tree, f"y{level}"])
+
+
+def _subterms(t):
+    yield t
+    if not isinstance(t, str):
+        for child in t.args:
+            yield from _subterms(child)
+
+
+def _reordered(t, rng):
+    """t with the children of every node shuffled; the value is unchanged."""
+    if isinstance(t, str):
+        return t
+    args = [_reordered(child, rng) for child in t.args]
+    rng.shuffle(args)
+    return type(t)(args)
+
+
+def _oracle_pairs():
+    """Seeded random pairs, then the four pair kinds of the benchmark's
+    terms workload: independent, (s, s+u), (s, s*u) and (s, s'*(s'+u))
+    with s' a reordering of s, each over 3 and 4 generators."""
+    rng = random.Random(30)
+    for gens in ("xyz", "xyzw"):
+        for _ in range(300):
+            yield gens, None, random_term(rng, gens, 4), random_term(rng, gens, 4)
+        for i in range(400):
+            kind, s = i % 4, random_term(rng, gens, 5)
+            u = random_term(rng, gens, 2)
+            if kind == 0:
+                t = random_term(rng, gens, 5)
+            elif kind == 1:
+                t = Join([s, u])
+            elif kind == 2:
+                t = Meet([s, u])
+            else:
+                s2 = _reordered(s, rng)
+                t = Meet([s2, Join([s2, u])])
+            yield gens, kind, s, t
+
+
+def test_free_leq_matches_whitman_oracle():
+    known = {1: (True, None), 2: (None, True), 3: (True, True)}
+    kinds = set()
+    for gens, kind, s, t in _oracle_pairs():
+        st, ts = whitman_leq(s, t), whitman_leq(t, s)
+        assert (free_leq(s, t), free_leq(t, s)) == (st, ts), (s, t)
+        for want, got in zip(known.get(kind, (None, None)), (st, ts)):
+            assert want is None or want == got
+        kinds.add((kind, st, ts))
+        for sub in {*_subterms(s), *_subterms(t)}:
+            below = sum(_masks(x)[0] for x in gens if whitman_leq(x, sub))
+            above = sum(_masks(x)[0] for x in gens if whitman_leq(sub, x))
+            assert _masks(sub) == (below, above), sub
+    # every kind occurs, and the random pairs reach each verdict
+    assert {k for k, _, _ in kinds} == {None, 0, 1, 2, 3}
+    assert {(st, ts) for k, st, ts in kinds if k is None} == {
+        (False, False), (True, False), (False, True), (True, True)
+    }
+
+
+def test_terms_survive_pickle_and_copy():
+    term = parse("x*(y+z)")
+    others = [parse(text) for text in ("x", "y+z", "x*y+x*z", "x+y", "z", "q*(x+w)")]
+    # pickled in another process, whose hash seed and generator bits differ
+    src = str(pathlib.Path(latkit.__file__).parents[1])
+    script = (
+        "import pickle, sys; from latkit.freeterm import parse; "
+        "parse('w+v+z*y'); sys.stdout.buffer.write(pickle.dumps(parse('x*(y+z)')))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "7", "PYTHONPATH": src}
+    foreign = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    clones = [pickle.loads(pickle.dumps(term)), pickle.loads(foreign), copy.deepcopy(term), copy.copy(term)]
+    want = [(free_leq(term, o), free_leq(o, term)) for o in others]
+    for clone in clones:
+        assert clone == term and hash(clone) == hash(term)
+        assert (clone.lower, clone.upper, clone.depth) == (term.lower, term.upper, term.depth)
+        free_leq.cache_clear()  # decide on the clone, not on term's memo entries
+        assert [(free_leq(clone, o), free_leq(o, clone)) for o in others] == want
